@@ -12,8 +12,7 @@ from .estimation import (ConsensusEstimate, DeltaTable, ThetaEstimate, borda,
                          delta_ik_oracle, eborda, empirical_pair_accuracy,
                          estimate_theta_mle, partial_estimate_error)
 from .mixture import (ConcentricMixture, GroundTruth, MixtureDraw,
-                      SeparationResult, approx_mean_distances, fit_mixture,
-                      hoeffding_counterparts, mean_distances,
+                      SeparationResult, fit_mixture, mean_distances,
                       min_sample_size, mixture_log_likelihood,
                       pairwise_topk_distances, sample_mixture, separate,
                       separation_gap)
@@ -32,7 +31,7 @@ from .rankings import (FenwickTree, InversionVector, Permutation, TopKRanking,
                        parse_rankings_csv, read_rankings_csv,
                        to_inversion_vector, write_rankings_csv)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "DimensionError", "SizeError", "ValidationError", "VacuousBoundError",
@@ -41,8 +40,7 @@ __all__ = [
     "delta_ik_oracle", "eborda", "empirical_pair_accuracy",
     "estimate_theta_mle", "partial_estimate_error",
     "ConcentricMixture", "GroundTruth", "MixtureDraw", "SeparationResult",
-    "approx_mean_distances", "fit_mixture", "hoeffding_counterparts",
-    "mean_distances", "min_sample_size", "mixture_log_likelihood",
+    "fit_mixture", "mean_distances", "min_sample_size", "mixture_log_likelihood",
     "pairwise_topk_distances", "sample_mixture", "separate",
     "separation_gap",
     "THETA_CAP", "MallowsModel", "MarginalEstimate", "RandomSource",

@@ -15,7 +15,8 @@ from .errors import SizeError, ValidationError, VacuousBoundError
 from .model import (MallowsModel, RandomSource, THETA_CAP, sample_topk,
                     theta_for_expected_distance, uniform_limit_distance)
 from .oracle import MAX_EXHAUSTIVE_N, _full_lists, _inversions
-from .rankings import Permutation, TopKRanking, kendall_topk
+from .rankings import (Permutation, TopKRanking, _distances_to_full,
+                       _item_array, kendall_topk)
 
 RankingLike = Union[Permutation, TopKRanking]
 
@@ -27,15 +28,15 @@ RankingLike = Union[Permutation, TopKRanking]
 
 def _borda_scores(sample: Sequence[TopKRanking]) -> np.ndarray:
     """Per-item rank sums; each voter assigns its listed ranks and imputes
-    (k + n - 1)/2 — the mean of the positions it left open — to the rest."""
+    (k + n - 1)/2 — the mean of the positions it left open — to the rest.
+    Every term is a multiple of 1/2, so the float sums are exact in any order."""
     n = sample[0].n
-    scores = np.zeros(n)
-    for s in sample:
-        imputed = (s.k + n - 1) / 2.0
-        row = np.full(n, imputed)
-        for r, item in enumerate(s.items):
-            row[item] = r
-        scores += row
+    items = _item_array(sample, n)
+    imputed = ((items >= 0).sum(axis=1) + n - 1) / 2.0
+    scores = np.full(n, imputed.sum())
+    for r in range(items.shape[1]):
+        listed = items[:, r] >= 0
+        scores += np.bincount(items[listed, r], weights=r - imputed[listed], minlength=n)
     return scores
 
 
@@ -94,11 +95,8 @@ class ConsensusEstimate:
 
 
 def _vote_counts(sample: Sequence[TopKRanking], n: int) -> list:
-    counts = [0] * n
-    for s in sample:
-        for item in s.items:
-            counts[item] += 1
-    return counts
+    items = _item_array(sample, n)
+    return np.bincount(items[items >= 0], minlength=n).tolist()
 
 
 def borda_estimate(sample: Sequence[TopKRanking]) -> ConsensusEstimate:
@@ -192,7 +190,8 @@ def estimate_theta_mle(sample: Sequence[TopKRanking], sigma0: Permutation,
     degenerate samples clamp to the cap (all at sigma0) or to 0 (uniform)."""
     if not sample:
         raise ValidationError("sample must be non-empty")
-    mean_d = sum(kendall_topk(s, sigma0) for s in sample) / len(sample)
+    d = _distances_to_full(_item_array(sample, sigma0.n), sigma0)
+    mean_d = int(d.sum()) / len(sample)
     if mean_d <= 0:
         est = ThetaEstimate(THETA_CAP, "point-mass")
     elif mean_d >= uniform_limit_distance(sigma0.n, k):

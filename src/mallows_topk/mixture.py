@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError, VacuousBoundError
 from .model import MallowsModel, RandomSource, log_likelihood, sample_topk
-from .rankings import Permutation, TopKRanking
+from .rankings import (Permutation, TopKRanking, _distances_to_full,
+                       _item_array, _pair_sums)
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,8 @@ class ConcentricMixture:
     r: float
 
     def __post_init__(self):
+        if not (self.theta_g >= 0.0 and self.theta_b >= 0.0):
+            raise ValidationError("dispersions must be >= 0")
         if self.theta_b > self.theta_g:
             raise ValidationError("non-expert dispersion must not exceed expert dispersion")
         if not 0.0 <= self.r <= 1.0:
@@ -82,67 +85,47 @@ def sample_mixture(mix: ConcentricMixture, k: int, m: int, rng: RandomSource) ->
 # ---------------------------------------------------------------------------
 
 
-def _pair_sign_matrix(sample: Sequence[TopKRanking]) -> np.ndarray:
-    """(m, n(n-1)/2) sign of the rank difference of each item pair, with the
-    per-ranking sentinel so undetermined pairs carry sign 0."""
+def pairwise_topk_distances(sample: Sequence[TopKRanking]) -> np.ndarray:
+    """Exact all-pairs top-k Kendall distance matrix (integer arithmetic,
+    schedule-independent).  Builds an (m, n(n-1)/2) array; `mean_distances`
+    does not need it."""
     n = sample[0].n
     if any(s.n != n for s in sample):
         raise DimensionError("sample has mixed item counts")
+    # Sign of the rank difference of each item pair; the per-ranking
+    # sentinel rank k gives undetermined pairs sign 0.
     ranks = np.array([s.rank_array() for s in sample], dtype=np.int64)
-    cols = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols.append(np.sign(ranks[:, i] - ranks[:, j]))
-    return np.stack(cols, axis=1)
-
-
-def pairwise_topk_distances(sample: Sequence[TopKRanking]) -> np.ndarray:
-    """Exact all-pairs top-k Kendall distance matrix (integer arithmetic,
-    schedule-independent)."""
-    signs = _pair_sign_matrix(sample)
+    i, j = np.triu_indices(n, 1)
+    signs = np.sign(ranks[:, i] - ranks[:, j])
     nonzero = np.abs(signs) @ np.abs(signs).T
     dot = signs @ signs.T
     return (nonzero - dot) // 2
 
 
 def mean_distances(sample: Sequence[TopKRanking]) -> np.ndarray:
-    """delta_sigma: mean distance of each ranking to all the others."""
+    """delta_sigma: mean distance of each ranking to all the others, O(n^2 + m k^2).
+
+    With pref[a, b] the number of rankings placing a strictly above b (Meila
+    et al., UAI 2007), the distances from s to the sample sum to pref[b, a]
+    over the pairs a > b that s orders: colsum(pref)[x_j] - pref[x_i, x_j]
+    summed over the listed items x_j and the listed pairs i < j."""
     m = len(sample)
     if m < 2:
         raise ValidationError("need at least two rankings")
-    d = pairwise_topk_distances(sample)
-    return d.sum(axis=1) / (m - 1)
-
-
-def hoeffding_counterparts(n: int, target: float, epsilon: float) -> int:
-    """Counterparts per ranking so that |approx - E[d]| <= target w.p. >= 1-eps."""
-    if target <= 0:
-        raise ValidationError("target accuracy must be positive")
-    if not 0 < epsilon < 1:
-        raise ValidationError("epsilon must lie in (0, 1)")
-    span = n * (n - 1) / 2
-    return math.ceil((span / target) ** 2 * math.log(2 / epsilon) / 2)
-
-
-def approx_mean_distances(sample: Sequence[TopKRanking], target: float,
-                          epsilon: float, rng: RandomSource) -> np.ndarray:
-    """Subsampled delta estimates; falls back to the exact mean when the
-    required counterpart count reaches m-1."""
-    m = len(sample)
-    if m < 2:
-        raise ValidationError("need at least two rankings")
-    t = hoeffding_counterparts(sample[0].n, target, epsilon)
-    if t >= m - 1:
-        return mean_distances(sample)
-    signs = _pair_sign_matrix(sample)
-    gen = rng.generator
-    out = np.empty(m)
-    for i in range(m):
-        others = gen.integers(0, m - 1, size=t)
-        others = others + (others >= i)  # uniform over indices != i
-        prods = signs[i][None, :] * signs[others]
-        out[i] = (prods < 0).sum(axis=1).mean()
-    return out
+    n = sample[0].n
+    items = _item_array(sample, n)
+    # pref[a, b] = listed[a] - before[b, a]: before[b, a] counts lists with b
+    # ahead of a.  One bincount per column: each costs O(n^2) however few rows.
+    before = np.zeros(n * n, dtype=np.int64)
+    for j in range(1, items.shape[1]):
+        x = items[items[:, j] >= 0]
+        pairs = x[:, :j].astype(np.int64) * n + x[:, j:j + 1]
+        before += np.bincount(pairs.ravel(), minlength=n * n)
+    pref = np.bincount(items[items >= 0], minlength=n)[:, None] - before.reshape(n, n).T
+    np.fill_diagonal(pref, 0)
+    pref = np.pad(pref, (0, 1))  # zero last row and column, indexed by padding -1
+    identity = np.append(np.arange(n, dtype=np.int32), np.int32(-1))
+    return _pair_sums(items, identity, pref.sum(axis=0), lambda a, b: pref[a, b]) / (m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +249,13 @@ def mixture_log_likelihood(mix: ConcentricMixture, sample: Sequence[TopKRanking]
         return log_likelihood(good, sample)
     if mix.r == 0.0:
         return log_likelihood(bad, sample)
+    items = _item_array(sample, mix.sigma0.n)
+    d, ks = _distances_to_full(items, mix.sigma0), (items >= 0).sum(axis=1)
     lr, lq = math.log(mix.r), math.log1p(-mix.r)
     total = 0.0
-    for s in sample:
-        total += np.logaddexp(lr + good.log_topk_probability(s),
-                              lq + bad.log_topk_probability(s))
+    for term in np.logaddexp(lr + good._log_topk_probabilities(d, ks),
+                             lq + bad._log_topk_probabilities(d, ks)).tolist():
+        total += term  # left to right: np.sum's pairwise order changes the last bits
     return float(total)
 
 

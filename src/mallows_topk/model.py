@@ -19,6 +19,8 @@ from .errors import DimensionError, ValidationError
 from .rankings import (
     Permutation,
     TopKRanking,
+    _distances_to_full,
+    _item_array,
     kendall_topk,
     to_inversion_vector,
 )
@@ -131,15 +133,19 @@ class MallowsModel:
         return TopKRanking(self.n, sigma.k, tuple(self.sigma0.ranks[i] for i in sigma.items))
 
     def distance_to_consensus(self, sigma: TopKRanking) -> int:
-        return sum(to_inversion_vector(self._relabel(sigma)).v)
+        return int(_distances_to_full(_item_array([sigma], self.n), self.sigma0)[0])
 
     def log_topk_probability(self, sigma: TopKRanking) -> float:
         d = self.distance_to_consensus(sigma)
-        return (
-            -self.theta * d
-            + log_psi_total(self.theta, self.n - sigma.k)
-            - log_psi_total(self.theta, self.n)
-        )
+        return float(self._log_topk_probabilities(d, sigma.k))
+
+    def _log_topk_probabilities(self, d, ks):
+        """Log top-k probabilities of rankings at distances d with lengths ks;
+        log_psi_total runs once per distinct k."""
+        head = np.zeros(self.n + 1)
+        for k in np.unique(ks).tolist():
+            head[k] = log_psi_total(self.theta, self.n - k)
+        return -self.theta * d + head[ks] - log_psi_total(self.theta, self.n)
 
     def topk_probability(self, sigma: TopKRanking) -> float:
         return math.exp(self.log_topk_probability(sigma))
@@ -322,6 +328,6 @@ def log_likelihood(model: MallowsModel, sample: Sequence[TopKRanking]) -> float:
     """Sum of log top-k probabilities over a sample (log-space, -inf safe)."""
     if not sample:
         raise ValidationError("sample must be non-empty")
-    if any(s.n != model.n for s in sample):
-        raise DimensionError("sample has mixed item counts")
-    return math.fsum(model.log_topk_probability(s) for s in sample)
+    items = _item_array(sample, model.n)
+    d = _distances_to_full(items, model.sigma0)
+    return math.fsum(model._log_topk_probabilities(d, (items >= 0).sum(axis=1)).tolist())

@@ -7,8 +7,11 @@ readers/writers at the bottom of this module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import DimensionError, ValidationError
 
@@ -176,34 +179,11 @@ def _as_topk_rank_array(r: RankingLike) -> tuple:
     return r.rank_array(), r.k
 
 
-def _merge_count(seq: list) -> int:
-    """Number of inversions in seq, by merge sort, O(len log len)."""
-    if len(seq) <= 1:
-        return 0
-    mid = len(seq) // 2
-    left, right = seq[:mid], seq[mid:]
-    count = _merge_count(left) + _merge_count(right)
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            count += len(left) - i
-            j += 1
-    seq[:] = merged + left[i:] + right[j:]
-    return count
-
-
 def kendall_full(sigma: Permutation, pi: Permutation) -> int:
     """Kendall's-tau distance: number of discordant item pairs."""
     if sigma.n != pi.n:
         raise DimensionError("mismatched item counts")
-    # Inversions of sigma's ranks read in pi's preference order.
-    seq = [sigma.ranks[item] for item in pi.items_by_rank()]
-    return _merge_count(seq)
+    return int(_distances_to_full(_item_array([sigma.top_k(sigma.n)], sigma.n), pi)[0])
 
 
 def kendall_topk(sigma: RankingLike, pi: RankingLike) -> int:
@@ -225,6 +205,41 @@ def kendall_topk(sigma: RankingLike, pi: RankingLike) -> int:
             if (ai - a[j]) * (bi - b[j]) < 0:
                 count += 1
     return count
+
+
+_BLOCK = 1024  # rows per block: bounds the batched kernels' transient arrays
+
+
+def _item_array(sample: Sequence[TopKRanking], n: int) -> np.ndarray:
+    """(m, k_max) int32 array of the listed items of each ranking, padded with -1."""
+    if any(s.n != n for s in sample):
+        raise DimensionError("ranking has the wrong item count")
+    k_max = max((s.k for s in sample), default=0)
+    pad = [(-1,) * (k_max - k) for k in range(k_max + 1)]
+    flat = itertools.chain.from_iterable(s.items + pad[s.k] for s in sample)
+    return np.fromiter(flat, dtype=np.int32, count=len(sample) * k_max).reshape(len(sample), k_max)
+
+
+def _pair_sums(items: np.ndarray, code: np.ndarray, weight: np.ndarray, pair) -> np.ndarray:
+    """sum_j weight[c_j] - sum_{i<j} pair(c_i, c_j) for each row c of
+    code[items], exact in int64.  Padding maps to code[-1], at which weight
+    and pair must be 0.  O(k^2) per row, in blocks of `_BLOCK` rows."""
+    out = np.empty(len(items), dtype=np.int64)
+    for lo in range(0, len(items), _BLOCK):
+        c = code[items[lo:lo + _BLOCK]]
+        t = weight[c].sum(axis=1, dtype=np.int64)
+        for j in range(1, c.shape[1]):
+            t -= pair(c[:, :j], c[:, j:j + 1]).sum(axis=1, dtype=np.int64)
+        out[lo:lo + _BLOCK] = t
+    return out
+
+
+def _distances_to_full(items: np.ndarray, pi: Permutation) -> np.ndarray:
+    """`kendall_topk(s, pi)` for each row, O(k^2): with c_j the pi-rank of the
+    j-th listed item, the distance is sum_j c_j - #{i < j : c_i < c_j}."""
+    ranks = np.array(pi.ranks + (-1,), dtype=np.int32)
+    weight = np.append(np.arange(pi.n, dtype=np.int32), np.int32(0))
+    return _pair_sums(items, ranks, weight, np.less)
 
 
 def to_inversion_vector(r: RankingLike) -> InversionVector:
@@ -261,12 +276,6 @@ def _decode(n: int, v: Sequence[int]) -> list:
         out.append(value)
         bit.add(value, -1)
     return out
-
-
-def _decode_naive(n: int, v: Sequence[int]) -> list:
-    """O(k*n) reference decode kept for oracle cross-checks."""
-    free = list(range(n))
-    return [free.pop(x) for x in v]
 
 
 def from_inversion_vector(v: InversionVector, form: str = "auto") -> RankingLike:
@@ -330,7 +339,10 @@ def parse_rankings_csv(text: str) -> list:
     for ln in lines[1:]:
         if ln.startswith("#"):
             continue
-        ids = [int(tok) - 1 for tok in ln.split(",")]
+        try:
+            ids = [int(tok) - 1 for tok in ln.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"malformed ranking line {ln!r}") from exc
         rankings.append(TopKRanking(n, len(ids), tuple(ids)))
     return rankings
 

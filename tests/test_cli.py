@@ -85,6 +85,14 @@ class TestSeparate:
         src.write_text("not a ranking file\n")
         assert run("separate", "--in", src, "--out", tmp_path / "o.csv") == 2
 
+    @pytest.mark.parametrize("row", ["1,x", "1,,2"])
+    def test_malformed_token_exit_2(self, tmp_path, capsys, row):
+        src = tmp_path / "bad.csv"
+        src.write_text(f"# n=4\n1,2\n{row}\n")
+        assert run("separate", "--in", src, "--out", tmp_path / "o.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestAggregate:
     def test_unanimous(self, tmp_path):

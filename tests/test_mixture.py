@@ -5,8 +5,7 @@ import pytest
 
 from mallows_topk.errors import ValidationError, VacuousBoundError
 from mallows_topk.mixture import (ConcentricMixture, GroundTruth,
-                                  approx_mean_distances, fit_mixture,
-                                  hoeffding_counterparts, mean_distances,
+                                  fit_mixture, mean_distances,
                                   min_sample_size, mixture_log_likelihood,
                                   pairwise_topk_distances, sample_mixture,
                                   separate, separation_gap)
@@ -32,6 +31,12 @@ class TestConcentricMixture:
     def test_r_range(self):
         with pytest.raises(ValidationError):
             make_mixture(r=1.5)
+
+    @pytest.mark.parametrize("theta_g, theta_b",
+                             [(math.nan, 0.1), (0.5, math.nan), (0.0, -1.0)])
+    def test_nan_or_negative_dispersion_rejected(self, theta_g, theta_b):
+        with pytest.raises(ValidationError):
+            make_mixture(theta_g=theta_g, theta_b=theta_b)
 
 
 class TestGroundTruth:
@@ -98,31 +103,6 @@ class TestMeanDistances:
         d = pairwise_topk_distances(sample)
         assert np.array_equal(d, d.T)
         assert d.dtype.kind == "i"
-
-
-class TestApproxMeanDistances:
-    def test_fixture_counterpart_count(self):
-        assert hoeffding_counterparts(10, 5.0, 0.05) == 150
-
-    def test_exact_fallback(self):
-        model = MallowsModel(10, Permutation.identity(10), 1.0)
-        sample = sample_topk(model, 4, 30, RandomSource(6))
-        approx = approx_mean_distances(sample, 5.0, 0.05, RandomSource(7))
-        assert np.array_equal(approx, mean_distances(sample))
-
-    def test_coverage(self):
-        model = MallowsModel(10, Permutation.identity(10), 0.4)
-        sample = sample_topk(model, 4, 400, RandomSource(8))
-        target = 5.0
-        approx = approx_mean_distances(sample, target, 0.05, RandomSource(9))
-        exact = mean_distances(sample)
-        coverage = np.mean(np.abs(approx - exact) <= target)
-        assert coverage >= 0.95
-
-    def test_bad_target_rejected(self):
-        sample = [TopKRanking(4, 2, (0, 1)), TopKRanking(4, 2, (1, 0))]
-        with pytest.raises(ValidationError):
-            approx_mean_distances(sample, 0.0, 0.05, RandomSource(0))
 
 
 class TestSeparate:
