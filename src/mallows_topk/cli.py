@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -106,11 +105,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             if getattr(args, name) is None:
                 raise ValidationError(f"--{name} is required for the borda bound")
         delta = estimation.delta_1k(args.n, args.k, args.theta)
-        lead = (args.k**2 * (-math.expm1(-args.theta)) ** 2
-                / (-math.expm1(-args.theta * args.n)))
-        denominator = lead - args.i * delta
         m = estimation.borda_sample_complexity(args.n, args.k, args.theta,
                                                args.i, args.epsilon)
+        lead = estimation._borda_leading_term(args.n, args.k, args.theta)
+        denominator = lead - args.i * delta
         payload = {"which": "borda", "n": args.n, "k": args.k,
                    "theta": args.theta, "i": args.i, "epsilon": args.epsilon,
                    "delta_1k": delta, "leading_term": lead,

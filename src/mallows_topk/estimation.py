@@ -277,6 +277,11 @@ class DeltaTable:
 # ---------------------------------------------------------------------------
 
 
+def _borda_leading_term(n: int, k: int, theta: float) -> float:
+    """k^2 (1 - e^-theta)^2 / (1 - e^-theta n): the gap term that i Delta_1k offsets."""
+    return k**2 * (-math.expm1(-theta)) ** 2 / (-math.expm1(-theta * n))
+
+
 def borda_sample_complexity(n: int, k: int, theta: float, i: int,
                             epsilon: float) -> int:
     """Sample size sufficient for Borda to order items i, i+1 correctly with
@@ -287,8 +292,7 @@ def borda_sample_complexity(n: int, k: int, theta: float, i: int,
         raise ValidationError("theta must be positive")
     if not 1 <= i <= n - 1:
         raise ValidationError("i must satisfy 1 <= i <= n-1")
-    gap = (k**2 * (-math.expm1(-theta)) ** 2 / (-math.expm1(-theta * n))
-           - i * delta_1k(n, k, theta))
+    gap = _borda_leading_term(n, k, theta) - i * delta_1k(n, k, theta)
     if gap <= 0:
         raise VacuousBoundError("sample-complexity bound is vacuous here")
     return math.ceil(2 * n**2 * math.log(1 / epsilon) / gap**2)

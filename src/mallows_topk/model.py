@@ -19,6 +19,7 @@ from .errors import DimensionError, ValidationError
 from .rankings import (
     Permutation,
     TopKRanking,
+    _decode_inversions,
     _distances_to_full,
     _item_array,
     kendall_topk,
@@ -176,29 +177,15 @@ def _sample_v_matrix(theta: float, n: int, positions: Sequence[int], count: int,
     return np.clip(v, 0, supports - 1)
 
 
-def _decode_rows(n: int, v: np.ndarray) -> np.ndarray:
-    """Batch inversion-vector decode: out[:, j] = v[:, j]-th smallest unused value."""
-    count, k = v.shape
-    free = np.broadcast_to(np.arange(n, dtype=np.int64), (count, n)).copy()
-    out = np.empty((count, k), dtype=np.int64)
-    for j in range(k):
-        col = v[:, j]
-        out[:, j] = np.take_along_axis(free, col[:, None], axis=1)[:, 0]
-        width = n - j - 1
-        if width:
-            t = np.arange(width, dtype=np.int64)[None, :]
-            free = np.take_along_axis(free, t + (t >= col[:, None]), axis=1)
-    return out
-
-
 def sample_topk(model: MallowsModel, k: int, count: int, rng: RandomSource) -> list:
-    """i.i.d. top-k draws in O(k log n) each: truncated-geometric V's, then decode."""
+    """i.i.d. top-k draws in O(k^2) each, independent of n: truncated-geometric
+    V's, then decode."""
     if not 1 <= k <= model.n:
         raise ValidationError("k must satisfy 1 <= k <= n")
     if count < 0:
         raise ValidationError("count must be >= 0")
     v = _sample_v_matrix(model.theta, model.n, range(1, k + 1), count, rng.generator)
-    codes = _decode_rows(model.n, v)
+    codes = _decode_inversions(v)
     by_rank = np.array(model.sigma0.items_by_rank(), dtype=np.int64)
     items = by_rank[codes]
     return [TopKRanking(model.n, k, tuple(row)) for row in items.tolist()]
@@ -215,10 +202,10 @@ def sample_linear_extension(model: MallowsModel, sigma: TopKRanking,
     if len(fixed) < n - 1:
         tail = _sample_v_matrix(model.theta, n, range(len(fixed) + 1, n), 1, rng.generator)
         fixed.extend(int(x) for x in tail[0])
-    codes = list(_decode_rows(n, np.array([fixed], dtype=np.int64))[0])
-    codes.append(next(iter(set(range(n)) - set(codes))))
+    # the last code is the 0-th of the one value left unused
+    codes = _decode_inversions(np.array([fixed + [0]], dtype=np.int64))[0]
     by_rank = model.sigma0.items_by_rank()
-    return Permutation.from_items([by_rank[c] for c in codes])
+    return Permutation.from_items([by_rank[c] for c in codes.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +220,7 @@ def expected_topk_distance(n: int, k: int, theta: float) -> float:
     if not 1 <= k <= n:
         raise ValidationError("k must satisfy 1 <= k <= n")
     if theta == 0.0:
-        return k * (2 * n - k - 1) / 4.0
+        return uniform_limit_distance(n, k)
     total = 0.0
     for j in range(1, k + 1):
         support = n - j + 1

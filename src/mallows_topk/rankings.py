@@ -127,10 +127,10 @@ class TopKRanking:
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ValidationError("k must satisfy 1 <= k <= n")
-        items = tuple(int(i) for i in self.items)
+        items = tuple(map(int, self.items))
         if len(items) != self.k:
             raise ValidationError("items must have length k")
-        if len(set(items)) != self.k or any(not 0 <= i < self.n for i in items):
+        if len(set(items)) != self.k or min(items) < 0 or max(items) >= self.n:
             raise ValidationError("items must be distinct ids in 0..n-1")
         object.__setattr__(self, "items", items)
 
@@ -242,6 +242,23 @@ def _distances_to_full(items: np.ndarray, pi: Permutation) -> np.ndarray:
     return _pair_sums(items, ranks, weight, np.less)
 
 
+def _decode_inversions(v: np.ndarray) -> np.ndarray:
+    """out[:, j] = the v[:, j]-th smallest (0-based) value not in out[:, :j].
+
+    With u the earlier values of a row in ascending order, u_t - t counts the
+    unused values below u_t and never decreases in t, so the v-th unused value
+    is v + #{t : u_t - t <= v}.  O(k^2 log k) per row, whatever the range of
+    the values; nothing of width n is built.
+    """
+    count, k = v.shape
+    out = np.empty((count, k), dtype=np.int64)
+    for j in range(k):
+        col = v[:, j:j + 1]
+        gaps = np.sort(out[:, :j], axis=1) - np.arange(j)
+        out[:, j] = col[:, 0] + (gaps <= col).sum(axis=1)
+    return out
+
+
 def to_inversion_vector(r: RankingLike) -> InversionVector:
     """Discordance counts of a ranking relative to the identity.
 
@@ -267,17 +284,6 @@ def to_inversion_vector(r: RankingLike) -> InversionVector:
     return InversionVector(r.n, r.k, tuple(v))
 
 
-def _decode(n: int, v: Sequence[int]) -> list:
-    """v[j]-th smallest unused value, for each j in turn (order-statistics tree)."""
-    bit = FenwickTree.ones(n)
-    out = []
-    for x in v:
-        value = bit.select(x)
-        out.append(value)
-        bit.add(value, -1)
-    return out
-
-
 def from_inversion_vector(v: InversionVector, form: str = "auto") -> RankingLike:
     """Exact inverse of `to_inversion_vector`.
 
@@ -290,12 +296,12 @@ def from_inversion_vector(v: InversionVector, form: str = "auto") -> RankingLike
     if form == "permutation":
         if v.k < v.n - 1:
             raise ValidationError("partial vector cannot decode to a full permutation")
-        ranks = _decode(v.n, v.v[: v.n - 1])
-        if len(ranks) < v.n:
-            ranks.append(next(iter(set(range(v.n)) - set(ranks))))
-        return Permutation(v.n, tuple(ranks))
+        # the last rank is the 0-th of the one value left unused
+        ranks = _decode_inversions(np.array([v.v[: v.n - 1] + (0,)]))[0]
+        return Permutation(v.n, tuple(ranks.tolist()))
     if form == "topk":
-        return TopKRanking(v.n, v.k, tuple(_decode(v.n, v.v)))
+        items = _decode_inversions(np.array([v.v]))[0]
+        return TopKRanking(v.n, v.k, tuple(items.tolist()))
     raise ValidationError(f"unknown form {form!r}")
 
 

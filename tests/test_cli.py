@@ -158,6 +158,11 @@ class TestBounds:
         assert run("bounds", "--which", "borda", "--n", 8, "--k", 3,
                    "--i", 1) == 2
 
+    def test_zero_theta_borda_exit_2(self, capsys):
+        assert run("bounds", "--which", "borda", "--n", 8, "--k", 3,
+                   "--theta", 0, "--i", 1) == 2
+        assert capsys.readouterr().err == "error: theta must be positive\n"
+
 
 class TestExperiments:
     def test_separation_rows(self, tmp_path):

@@ -1,13 +1,15 @@
 """The batched item-array kernels against their per-ranking references.
 
-Integer distances and delta numerators must match exactly; the batched
-log-likelihoods and Borda scores must equal the per-ranking sums bit for bit.
+Integer distances, delta numerators and decoded rankings must match exactly;
+the batched log-likelihoods and Borda scores must equal the per-ranking sums
+bit for bit.
 """
 
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +19,11 @@ from mallows_topk.mixture import (ConcentricMixture, mean_distances,
                                   pairwise_topk_distances, sample_mixture,
                                   separate)
 from mallows_topk.model import (THETA_CAP, MallowsModel, RandomSource,
-                                log_likelihood, log_psi_total)
+                                _sample_v_matrix, log_likelihood,
+                                log_psi_total, sample_topk)
 from mallows_topk.rankings import (Permutation, TopKRanking,
-                                   _distances_to_full, _item_array,
-                                   kendall_topk)
+                                   _decode_inversions, _distances_to_full,
+                                   _item_array, kendall_topk)
 
 
 def _topk(n, perm, k):
@@ -148,3 +151,68 @@ def test_separate_allocates_no_pairwise_array():
         tracemalloc.stop()
     assert not result.degenerate
     assert peak < 64 * 2**20
+
+
+def _reference_decode(n, v):
+    """Pop the v_j-th element of the sorted unused values, for each j in turn."""
+    unused = list(range(n))
+    return [unused.pop(x) for x in v]
+
+
+@st.composite
+def inversion_rows(draw):
+    """n <= 9, k in 1..n, and rows with v_j in 0..n-j-1 (0-based j)."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))
+    row = st.tuples(*(st.integers(0, n - 1 - j) for j in range(k)))
+    return n, draw(st.lists(row, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=inversion_rows())
+def test_decode_equals_the_reference(case):
+    n, rows = case
+    got = _decode_inversions(np.array(rows, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [_reference_decode(n, v) for v in rows]
+
+
+def test_decode_at_both_ends_of_every_range():
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            low = [0] * k
+            high = [n - 1 - j for j in range(k)]
+            mixed = [h if j % 2 else 0 for j, h in enumerate(high)]
+            rows = [low, high, mixed]
+            got = _decode_inversions(np.array(rows, dtype=np.int64)).tolist()
+            assert got == [_reference_decode(n, v) for v in rows]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17])
+@pytest.mark.parametrize("n, k, theta", [
+    (1, 1, 0.0), (5, 5, 0.4), (9, 4, 3.0), (30, 10, 0.0), (1000, 10, 0.3),
+    (40, 40, THETA_CAP)])
+def test_sample_topk_decodes_its_inversion_draws(seed, n, k, theta):
+    sigma0 = Permutation.from_items(
+        np.random.default_rng(seed).permutation(n).tolist())
+    model = MallowsModel(n, sigma0, theta)
+    rows = sample_topk(model, k, 200, RandomSource(seed))
+    v = _sample_v_matrix(theta, n, range(1, k + 1), 200, RandomSource(seed).generator)
+    by_rank = sigma0.items_by_rank()
+    expected = [tuple(by_rank[c] for c in _reference_decode(n, row))
+                for row in v.tolist()]
+    assert [r.items for r in rows] == expected
+
+
+def test_sample_topk_allocates_nothing_of_width_n():
+    # n = 10^4 and 2000 draws: a (count, n) int64 array of unused values
+    # alone would be 160 MB.
+    model = MallowsModel(10**4, Permutation.identity(10**4), 0.3)
+    tracemalloc.start()
+    try:
+        rows = sample_topk(model, 10, 2000, RandomSource(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2000
+    assert peak < 16 * 2**20

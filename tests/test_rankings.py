@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mallows_topk.errors import DimensionError, ValidationError
@@ -86,6 +86,20 @@ class TestTopKRanking:
         with pytest.raises(ValidationError):
             TopKRanking(4, 2, (1, 1))
 
+    @pytest.mark.parametrize("k, items, message", [
+        (0, (), "k must satisfy 1 <= k <= n"),
+        (5, (0, 1, 2, 3, 0), "k must satisfy 1 <= k <= n"),
+        (2, (1,), "items must have length k"),
+        (2, (1, 2, 3), "items must have length k"),
+        (3, (2, 0, 2), "items must be distinct ids in 0..n-1"),
+        (2, (0, -1), "items must be distinct ids in 0..n-1"),
+        (2, (4, 0), "items must be distinct ids in 0..n-1"),
+    ])
+    def test_each_invalid_input_keeps_its_message(self, k, items, message):
+        with pytest.raises(ValidationError) as info:
+            TopKRanking(4, k, items)
+        assert str(info.value) == message
+
     def test_to_permutation_requires_full(self):
         with pytest.raises(ValidationError):
             TopKRanking(4, 2, (1, 0)).to_permutation()
@@ -136,11 +150,16 @@ class TestKendall:
 
 class TestInversionVector:
     @given(perms)
+    @example(Permutation.identity(1))
+    @example(Permutation.reverse(9))
     def test_permutation_round_trip(self, p):
         v = to_inversion_vector(p)
         assert from_inversion_vector(v, form="permutation") == p
 
     @given(topk_rankings())
+    @example(TopKRanking(1, 1, (0,)))
+    @example(TopKRanking(9, 9, tuple(range(8, -1, -1))))
+    @example(TopKRanking(9, 3, (8, 7, 6)))
     def test_topk_round_trip(self, r):
         v = to_inversion_vector(r)
         assert from_inversion_vector(v, form="topk") == r
