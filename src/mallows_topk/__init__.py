@@ -25,10 +25,10 @@ from .oracle import (MAX_EXHAUSTIVE_N, ExhaustiveTable, MixtureExpectations,
                      enumerate_topk, exact_expectations,
                      exact_topk_distribution, exhaustive_kemeny,
                      pairwise_distance_matrix)
-from .rankings import (FenwickTree, InversionVector, Permutation, TopKRanking,
-                       format_rankings_csv, from_inversion_vector,
-                       invert_topk, kendall_full, kendall_topk,
-                       parse_rankings_csv, read_rankings_csv,
+from .rankings import (FenwickTree, InversionVector, Permutation,
+                       RankingBatch, TopKRanking, format_rankings_csv,
+                       from_inversion_vector, invert_topk, kendall_full,
+                       kendall_topk, parse_rankings_csv, read_rankings_csv,
                        to_inversion_vector, write_rankings_csv)
 
 __version__ = "0.1.0"
@@ -51,7 +51,7 @@ __all__ = [
     "MAX_EXHAUSTIVE_N", "ExhaustiveTable", "MixtureExpectations",
     "enumerate_topk", "exact_expectations", "exact_topk_distribution",
     "exhaustive_kemeny", "pairwise_distance_matrix",
-    "FenwickTree", "InversionVector", "Permutation", "TopKRanking",
+    "FenwickTree", "InversionVector", "Permutation", "RankingBatch", "TopKRanking",
     "format_rankings_csv", "from_inversion_vector", "invert_topk",
     "kendall_full", "kendall_topk", "parse_rankings_csv",
     "read_rankings_csv", "to_inversion_vector", "write_rankings_csv",

@@ -230,7 +230,7 @@ def run_loglik_experiment(n: int, theta: float, m: int, seeds: int,
     rows = ["impostors,seed,single_ll,mixture_ll"]
     base_data = read_rankings_csv(data_path) if data_path is not None else None
     if base_data is not None:
-        n = base_data[0].n
+        n = base_data.n
         m = len(base_data)
         uniform = MallowsModel.uniform(n)
     for s in range(seeds):
@@ -239,7 +239,7 @@ def run_loglik_experiment(n: int, theta: float, m: int, seeds: int,
             else sample_topk(model, n, m, rng.split(0))
         impostors = sample_topk(uniform, n, 2 * m, rng.split(1))
         for t in range(0, 2 * m + 1, step):
-            sample = list(base) + impostors[:t]
+            sample = base + impostors[:t]
             consensus = estimation.borda(sample)
             theta_hat = estimation.estimate_theta_mle(sample, consensus, n)
             single = MallowsModel(n, consensus, theta_hat)
@@ -251,6 +251,9 @@ def run_loglik_experiment(n: int, theta: float, m: int, seeds: int,
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    for name in ("seeds", "step"):
+        if getattr(args, name) < 1:
+            raise ValidationError(f"--{name} must be at least 1")
     if args.name == "separation":
         text = run_separation_experiment(
             args.n, args.k, args.mg, args.mb,

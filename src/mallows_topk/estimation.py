@@ -15,8 +15,8 @@ from .errors import SizeError, ValidationError, VacuousBoundError
 from .model import (MallowsModel, RandomSource, THETA_CAP, sample_topk,
                     theta_for_expected_distance, uniform_limit_distance)
 from .oracle import MAX_EXHAUSTIVE_N, _full_lists, _inversions
-from .rankings import (Permutation, TopKRanking, _distances_to_full,
-                       _item_array, kendall_topk)
+from .rankings import (Permutation, TopKRanking, _as_batch,
+                       _distances_to_full, kendall_topk)
 
 RankingLike = Union[Permutation, TopKRanking]
 
@@ -30,9 +30,9 @@ def _borda_scores(sample: Sequence[TopKRanking]) -> np.ndarray:
     """Per-item rank sums; each voter assigns its listed ranks and imputes
     (k + n - 1)/2 — the mean of the positions it left open — to the rest.
     Every term is a multiple of 1/2, so the float sums are exact in any order."""
-    n = sample[0].n
-    items = _item_array(sample, n)
-    imputed = ((items >= 0).sum(axis=1) + n - 1) / 2.0
+    batch = _as_batch(sample)
+    n, items = batch.n, batch.items
+    imputed = (batch.ks + n - 1) / 2.0
     scores = np.full(n, imputed.sum())
     for r in range(items.shape[1]):
         listed = items[:, r] >= 0
@@ -44,12 +44,8 @@ def borda(sample: Sequence[TopKRanking]) -> Permutation:
     """Items sorted by ascending rank sum; ties broken by ascending item id."""
     if not sample:
         raise ValidationError("sample must be non-empty")
-    n = sample[0].n
-    if any(s.n != n for s in sample):
-        raise ValidationError("sample has mixed item counts")
-    scores = _borda_scores(sample)
-    order = sorted(range(n), key=lambda item: (scores[item], item))
-    return Permutation.from_items(order)
+    # a stable sort keeps tied items in ascending id order
+    return Permutation.from_items(np.argsort(_borda_scores(sample), kind="stable").tolist())
 
 
 @dataclass
@@ -94,24 +90,25 @@ class ConsensusEstimate:
         }
 
 
-def _vote_counts(sample: Sequence[TopKRanking], n: int) -> list:
-    items = _item_array(sample, n)
-    return np.bincount(items[items >= 0], minlength=n).tolist()
+def _vote_counts(sample: Sequence[TopKRanking]) -> list:
+    batch = _as_batch(sample)
+    return np.bincount(batch._ids(), minlength=batch.n).tolist()
 
 
 def borda_estimate(sample: Sequence[TopKRanking]) -> ConsensusEstimate:
     """Borda wrapped as an estimate whose trusted positions are the items at
     least one voter ranked; never-ranked items sit at the end, untrusted."""
+    sample = _as_batch(sample)
     perm = borda(sample)
     n = perm.n
-    counts = _vote_counts(sample, n)
+    counts = _vote_counts(sample)
     ranked = [item for item in perm.items_by_rank() if counts[item] > 0]
     unranked = [item for item in range(n) if counts[item] == 0]
     k_prime = len(ranked)
     completion = Permutation.from_items(ranked + unranked)
     ranking: RankingLike = (completion if k_prime == n
                             else TopKRanking(n, k_prime, tuple(ranked)))
-    theta = estimate_theta_mle(sample, completion, max(s.k for s in sample))
+    theta = estimate_theta_mle(sample, completion, int(sample.ks.max()))
     return ConsensusEstimate(ranking, k_prime, tuple(counts), completion,
                              "borda", theta)
 
@@ -128,6 +125,7 @@ def eborda(sample: Sequence[TopKRanking], method: str = "gap") -> ConsensusEstim
     """
     if len(sample) < 2:
         raise ValidationError("need at least two rankings")
+    sample = _as_batch(sample)
     result = mixture.separate(sample, method=method)
     if result.degenerate:
         est = borda_estimate(sample)
@@ -135,10 +133,10 @@ def eborda(sample: Sequence[TopKRanking], method: str = "gap") -> ConsensusEstim
         est.fallback = True
         est.expert_indices = tuple(range(len(sample)))
         return est
-    experts = [s for s, f in zip(sample, result.expert_flags) if f]
-    n = sample[0].n
-    expert_counts = _vote_counts(experts, n)
-    all_counts = _vote_counts(sample, n)
+    experts = sample[np.array(result.expert_flags)]
+    n = sample.n
+    expert_counts = _vote_counts(experts)
+    all_counts = _vote_counts(sample)
     expert_ranked = {item for item, c in enumerate(expert_counts) if c > 0}
     expert_order = borda(experts).items_by_rank()
     prefix = [item for item in expert_order if item in expert_ranked]
@@ -190,7 +188,7 @@ def estimate_theta_mle(sample: Sequence[TopKRanking], sigma0: Permutation,
     degenerate samples clamp to the cap (all at sigma0) or to 0 (uniform)."""
     if not sample:
         raise ValidationError("sample must be non-empty")
-    d = _distances_to_full(_item_array(sample, sigma0.n), sigma0)
+    d = _distances_to_full(sample, sigma0)
     mean_d = int(d.sum()) / len(sample)
     if mean_d <= 0:
         est = ThetaEstimate(THETA_CAP, "point-mass")

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError, VacuousBoundError
 from .model import MallowsModel, RandomSource, log_likelihood, sample_topk
-from .rankings import (Permutation, TopKRanking, _distances_to_full,
-                       _item_array, _pair_sums)
+from .rankings import (Permutation, RankingBatch, TopKRanking, _as_batch,
+                       _distances_to_full, _pair_sums)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class GroundTruth:
 
 
 class MixtureDraw(NamedTuple):
-    rankings: list
+    rankings: RankingBatch
     truth: GroundTruth
 
 
@@ -71,12 +71,10 @@ def sample_mixture(mix: ConcentricMixture, k: int, m: int, rng: RandomSource) ->
     """m i.i.d. draws; each picks the expert component with probability r."""
     flags = rng.generator.random(m) < mix.r
     n_expert = int(flags.sum())
-    expert_draws = sample_topk(mix.expert_model(), k, n_expert, rng)
-    other_draws = sample_topk(mix.nonexpert_model(), k, m - n_expert, rng)
-    rankings = []
-    it_e, it_o = iter(expert_draws), iter(other_draws)
-    for f in flags:
-        rankings.append(next(it_e) if f else next(it_o))
+    items = np.empty((m, k), dtype=np.int32)
+    items[flags] = sample_topk(mix.expert_model(), k, n_expert, rng).items
+    items[~flags] = sample_topk(mix.nonexpert_model(), k, m - n_expert, rng).items
+    rankings = RankingBatch._trusted(mix.sigma0.n, items, np.full(m, k, dtype=np.int64))
     return MixtureDraw(rankings, GroundTruth(flags.tolist()))
 
 
@@ -89,13 +87,13 @@ def pairwise_topk_distances(sample: Sequence[TopKRanking]) -> np.ndarray:
     """Exact all-pairs top-k Kendall distance matrix (integer arithmetic,
     schedule-independent).  Builds an (m, n(n-1)/2) array; `mean_distances`
     does not need it."""
-    n = sample[0].n
-    if any(s.n != n for s in sample):
-        raise DimensionError("sample has mixed item counts")
+    batch = _as_batch(sample)
     # Sign of the rank difference of each item pair; the per-ranking
     # sentinel rank k gives undetermined pairs sign 0.
-    ranks = np.array([s.rank_array() for s in sample], dtype=np.int64)
-    i, j = np.triu_indices(n, 1)
+    ranks = np.repeat(batch.ks[:, None], batch.n, axis=1)
+    row, col = np.nonzero(batch.items >= 0)
+    ranks[row, batch.items[row, col]] = col
+    i, j = np.triu_indices(batch.n, 1)
     signs = np.sign(ranks[:, i] - ranks[:, j])
     nonzero = np.abs(signs) @ np.abs(signs).T
     dot = signs @ signs.T
@@ -112,8 +110,8 @@ def mean_distances(sample: Sequence[TopKRanking]) -> np.ndarray:
     m = len(sample)
     if m < 2:
         raise ValidationError("need at least two rankings")
-    n = sample[0].n
-    items = _item_array(sample, n)
+    batch = _as_batch(sample)
+    n, items = batch.n, batch.items
     # pref[a, b] = listed[a] - before[b, a]: before[b, a] counts lists with b
     # ahead of a.  One bincount per column: each costs O(n^2) however few rows.
     before = np.zeros(n * n, dtype=np.int64)
@@ -121,7 +119,7 @@ def mean_distances(sample: Sequence[TopKRanking]) -> np.ndarray:
         x = items[items[:, j] >= 0]
         pairs = x[:, :j].astype(np.int64) * n + x[:, j:j + 1]
         before += np.bincount(pairs.ravel(), minlength=n * n)
-    pref = np.bincount(items[items >= 0], minlength=n)[:, None] - before.reshape(n, n).T
+    pref = np.bincount(batch._ids(), minlength=n)[:, None] - before.reshape(n, n).T
     np.fill_diagonal(pref, 0)
     pref = np.pad(pref, (0, 1))  # zero last row and column, indexed by padding -1
     identity = np.append(np.arange(n, dtype=np.int32), np.int32(-1))
@@ -188,10 +186,11 @@ def separate(sample: Sequence[TopKRanking], method: str = "2means") -> Separatio
 
     if method not in ("2means", "gap"):
         raise ValidationError(f"unknown method {method!r}")
+    sample = _as_batch(sample)
     m = len(sample)
     deltas = mean_distances(sample)
     consensus = estimation.borda(sample)
-    k = max(s.k for s in sample)
+    k = int(sample.ks.max())
     if np.ptp(deltas) == 0:
         theta = estimation.estimate_theta_mle(sample, consensus, k)
         return SeparationResult(deltas, (True,) * m, None, theta, theta, 1.0,
@@ -202,14 +201,13 @@ def separate(sample: Sequence[TopKRanking], method: str = "2means") -> Separatio
     else:
         split = _largest_gap_split(order)
     threshold = 0.5 * (order[split - 1] + order[split])
-    flags = tuple(bool(d <= threshold) for d in deltas)
-    experts = [s for s, f in zip(sample, flags) if f]
-    others = [s for s, f in zip(sample, flags) if not f]
+    expert = deltas <= threshold
+    experts, others = sample[expert], sample[~expert]
     theta_g = estimation.estimate_theta_mle(experts, consensus, k) if experts else 0.0
     theta_b = estimation.estimate_theta_mle(others, consensus, k) if others else 0.0
     r_hat = len(experts) / m
-    return SeparationResult(deltas, flags, float(threshold), theta_g, theta_b,
-                            r_hat, consensus)
+    return SeparationResult(deltas, tuple(expert.tolist()), float(threshold), theta_g,
+                            theta_b, r_hat, consensus)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +221,8 @@ def separation_gap(c: float, r: float, expected_gamma_dist: float) -> float:
         raise VacuousBoundError("the separation bound requires c > 2")
     if not 0 < r <= 1:
         raise VacuousBoundError("r must lie in (0, 1]")
+    if not 0 < expected_gamma_dist < math.inf:
+        raise ValidationError("the expected expert distance must be positive and finite")
     return (c - 2) * r * expected_gamma_dist
 
 
@@ -249,8 +249,8 @@ def mixture_log_likelihood(mix: ConcentricMixture, sample: Sequence[TopKRanking]
         return log_likelihood(good, sample)
     if mix.r == 0.0:
         return log_likelihood(bad, sample)
-    items = _item_array(sample, mix.sigma0.n)
-    d, ks = _distances_to_full(items, mix.sigma0), (items >= 0).sum(axis=1)
+    batch = _as_batch(sample, mix.sigma0.n)
+    d, ks = _distances_to_full(batch, mix.sigma0), batch.ks
     lr, lq = math.log(mix.r), math.log1p(-mix.r)
     total = 0.0
     for term in np.logaddexp(lr + good._log_topk_probabilities(d, ks),
@@ -265,10 +265,10 @@ def fit_mixture(sample: Sequence[TopKRanking], method: str = "2means") -> Concen
     likelihood, so the fit never loses to the nested model."""
     from . import estimation
 
+    sample = _as_batch(sample)
     result = separate(sample, method=method)
     consensus = result.consensus
-    single_theta = estimation.estimate_theta_mle(sample, consensus,
-                                                 max(s.k for s in sample))
+    single_theta = estimation.estimate_theta_mle(sample, consensus, int(sample.ks.max()))
     single = ConcentricMixture(consensus, single_theta, single_theta, 1.0)
     if result.degenerate or result.r_hat in (0.0, 1.0):
         return single

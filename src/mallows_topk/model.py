@@ -18,10 +18,11 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .rankings import (
     Permutation,
+    RankingBatch,
     TopKRanking,
+    _as_batch,
     _decode_inversions,
     _distances_to_full,
-    _item_array,
     kendall_topk,
     to_inversion_vector,
 )
@@ -134,7 +135,7 @@ class MallowsModel:
         return TopKRanking(self.n, sigma.k, tuple(self.sigma0.ranks[i] for i in sigma.items))
 
     def distance_to_consensus(self, sigma: TopKRanking) -> int:
-        return int(_distances_to_full(_item_array([sigma], self.n), self.sigma0)[0])
+        return int(_distances_to_full([sigma], self.sigma0)[0])
 
     def log_topk_probability(self, sigma: TopKRanking) -> float:
         d = self.distance_to_consensus(sigma)
@@ -177,18 +178,17 @@ def _sample_v_matrix(theta: float, n: int, positions: Sequence[int], count: int,
     return np.clip(v, 0, supports - 1)
 
 
-def sample_topk(model: MallowsModel, k: int, count: int, rng: RandomSource) -> list:
-    """i.i.d. top-k draws in O(k^2) each, independent of n: truncated-geometric
-    V's, then decode."""
+def sample_topk(model: MallowsModel, k: int, count: int, rng: RandomSource) -> RankingBatch:
+    """`count` i.i.d. top-k draws as one RankingBatch, O(k^2) each and
+    independent of n: truncated-geometric V's, then decode."""
     if not 1 <= k <= model.n:
         raise ValidationError("k must satisfy 1 <= k <= n")
     if count < 0:
         raise ValidationError("count must be >= 0")
     v = _sample_v_matrix(model.theta, model.n, range(1, k + 1), count, rng.generator)
     codes = _decode_inversions(v)
-    by_rank = np.array(model.sigma0.items_by_rank(), dtype=np.int64)
-    items = by_rank[codes]
-    return [TopKRanking(model.n, k, tuple(row)) for row in items.tolist()]
+    by_rank = np.array(model.sigma0.items_by_rank(), dtype=np.int32)
+    return RankingBatch._trusted(model.n, by_rank[codes], np.full(count, k, dtype=np.int64))
 
 
 def sample_linear_extension(model: MallowsModel, sigma: TopKRanking,
@@ -221,10 +221,10 @@ def expected_topk_distance(n: int, k: int, theta: float) -> float:
         raise ValidationError("k must satisfy 1 <= k <= n")
     if theta == 0.0:
         return uniform_limit_distance(n, k)
-    total = 0.0
+    total, head = 0.0, _inv_expm1(theta)
     for j in range(1, k + 1):
         support = n - j + 1
-        total += _inv_expm1(theta) - support * _inv_expm1(theta * support)
+        total += head - support * _inv_expm1(theta * support)
     return total
 
 
@@ -236,10 +236,10 @@ def variance_topk_distance(n: int, k: int, theta: float) -> float:
         raise ValidationError("k must satisfy 1 <= k <= n")
     if theta == 0.0:
         return sum(((n - j + 1) ** 2 - 1) / 12.0 for j in range(1, k + 1))
-    total = 0.0
+    total, head = 0.0, _exp_over_sq(theta)
     for j in range(1, k + 1):
         support = n - j + 1
-        total += _exp_over_sq(theta) - support**2 * _exp_over_sq(theta * support)
+        total += head - support**2 * _exp_over_sq(theta * support)
     return total
 
 
@@ -304,8 +304,8 @@ def pairwise_marginal(model: MallowsModel, i: int, j: int,
         return MarginalEstimate(num / total, 0.0, True)
     if rng is None:
         raise ValidationError("Monte Carlo estimation needs a RandomSource")
-    sample = sample_topk(model, model.n, draws, rng)
-    wins = sum(1 for s in sample if s.items.index(i) < s.items.index(j))
+    items = sample_topk(model, model.n, draws, rng).items
+    wins = int(((items == i).argmax(axis=1) < (items == j).argmax(axis=1)).sum())
     p = wins / draws
     se = math.sqrt(max(p * (1 - p), 1e-12) / draws)
     return MarginalEstimate(p, se, False)
@@ -315,6 +315,6 @@ def log_likelihood(model: MallowsModel, sample: Sequence[TopKRanking]) -> float:
     """Sum of log top-k probabilities over a sample (log-space, -inf safe)."""
     if not sample:
         raise ValidationError("sample must be non-empty")
-    items = _item_array(sample, model.n)
-    d = _distances_to_full(items, model.sigma0)
-    return math.fsum(model._log_topk_probabilities(d, (items >= 0).sum(axis=1)).tolist())
+    batch = _as_batch(sample, model.n)
+    d = _distances_to_full(batch, model.sigma0)
+    return math.fsum(model._log_topk_probabilities(d, batch.ks).tolist())

@@ -170,6 +170,122 @@ class InversionVector:
 
 
 RankingLike = Union[Permutation, TopKRanking]
+_MAX_N = 2**31 - 1  # item ids are stored as int32
+
+
+def _view(n: int, k: int, items: tuple) -> TopKRanking:
+    """A TopKRanking of values already checked: no __post_init__."""
+    r = object.__new__(TopKRanking)
+    fields = r.__dict__
+    fields["n"], fields["k"], fields["items"] = n, k, items
+    return r
+
+
+class RankingBatch(Sequence):
+    """m top-k rankings of n items as arrays: `items` is (m, k_max) int32, the
+    ids of each row in preference order padded with -1; `ks` holds each k.
+
+    The constructor checks all rows at once and raises what `TopKRanking`
+    raises for the first bad row.  An int index yields a `TopKRanking`, not
+    checked again; slices and boolean masks yield batches; `+` concatenates;
+    `==` compares ranking by ranking with any sequence of rankings.
+    """
+
+    __slots__ = ("n", "items", "ks")
+
+    def __init__(self, n: int, items, ks):
+        n = int(n)
+        items, ks = np.asarray(items, dtype=np.int64), np.asarray(ks, dtype=np.int64)
+        if n > _MAX_N:
+            raise ValidationError(f"n must be at most {_MAX_N}")
+        if items.ndim != 2 or ks.shape != items.shape[:1]:
+            raise ValidationError("items must be an (m, k_max) array with one k per row")
+        _check_rows(n, items, ks)
+        self.n, self.items, self.ks = n, items.astype(np.int32), ks
+
+    @classmethod
+    def _trusted(cls, n: int, items: np.ndarray, ks: np.ndarray) -> "RankingBatch":
+        """A batch of arrays that already hold valid rankings."""
+        batch = object.__new__(cls)
+        batch.n, batch.items, batch.ks = n, items, ks
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            ks = self.ks[index]
+            return RankingBatch._trusted(self.n, self.items[index, :ks.max(initial=0)], ks)
+        k = int(self.ks[index])
+        return _view(self.n, k, tuple(self.items[index, :k].tolist()))
+
+    def __iter__(self):
+        for lo in range(0, len(self), _BLOCK):
+            rows = self.items[lo:lo + _BLOCK].tolist()
+            for k, row in zip(self.ks[lo:lo + _BLOCK].tolist(), rows):
+                yield _view(self.n, k, tuple(row[:k]))
+
+    def __add__(self, other) -> "RankingBatch":
+        other = _as_batch(other, self.n)
+        ks = np.concatenate([self.ks, other.ks])
+        flat = np.concatenate([self._ids(), other._ids()])
+        return RankingBatch._trusted(self.n, _pad(flat, ks), ks)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RankingBatch):
+            return (self.n == other.n and np.array_equal(self.ks, other.ks)
+                    and np.array_equal(self._ids(), other._ids()))
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RankingBatch(n={self.n}, m={len(self)}, k_max={self.items.shape[1]})"
+
+    def _ids(self) -> np.ndarray:
+        """The listed ids of all rows, row after row."""
+        return self.items[self.items >= 0]
+
+
+def _check_rows(n: int, items: np.ndarray, ks: np.ndarray) -> None:
+    """Raise what `TopKRanking(n, k, row[:k])` raises for the first bad row,
+    or the length error if its padding is not -1; the checks see all rows at
+    once, and only a bad row becomes a TopKRanking."""
+    listed = np.arange(items.shape[1]) < ks[:, None]
+    ordered = np.sort(items, axis=1)  # padding first; equal neighbours >= 0 repeat an id
+    bad = ((ks < 1) | (ks > n) | (ks > items.shape[1])
+           | np.where(listed, (items < 0) | (items >= n), items != -1).any(axis=1)
+           | ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1))
+    if bad.any():
+        row = int(np.argmax(bad))
+        TopKRanking(n, int(ks[row]), tuple(items[row, :ks[row]].tolist()))
+        raise ValidationError("items must have length k")
+
+
+def _pad(flat: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """(len(ks), max k) array whose row i holds the next ks[i] ids of `flat`,
+    padded with -1."""
+    items = np.full((len(ks), ks.max(initial=0)), -1, dtype=flat.dtype)
+    items[np.arange(items.shape[1]) < ks[:, None]] = flat
+    return items
+
+
+def _as_batch(sample, n=None) -> RankingBatch:
+    """`sample` as a RankingBatch, converting a sequence of TopKRankings once;
+    every ranking must have n items (by default, as many as the first)."""
+    if not isinstance(sample, RankingBatch):
+        sample = list(sample)
+        first = sample[0].n if sample else n or 0
+        if any(s.n != first for s in sample):
+            raise DimensionError("ranking has the wrong item count")
+        ks = np.fromiter([s.k for s in sample], np.int64, len(sample))
+        flat = np.fromiter(itertools.chain.from_iterable(s.items for s in sample),
+                           np.int32, int(ks.sum()))
+        sample = RankingBatch._trusted(first, _pad(flat, ks), ks)
+    if n is not None and sample.n != n:
+        raise DimensionError("ranking has the wrong item count")
+    return sample
 
 
 def _as_topk_rank_array(r: RankingLike) -> tuple:
@@ -183,7 +299,7 @@ def kendall_full(sigma: Permutation, pi: Permutation) -> int:
     """Kendall's-tau distance: number of discordant item pairs."""
     if sigma.n != pi.n:
         raise DimensionError("mismatched item counts")
-    return int(_distances_to_full(_item_array([sigma.top_k(sigma.n)], sigma.n), pi)[0])
+    return int(_distances_to_full([sigma.top_k(sigma.n)], pi)[0])
 
 
 def kendall_topk(sigma: RankingLike, pi: RankingLike) -> int:
@@ -210,16 +326,6 @@ def kendall_topk(sigma: RankingLike, pi: RankingLike) -> int:
 _BLOCK = 1024  # rows per block: bounds the batched kernels' transient arrays
 
 
-def _item_array(sample: Sequence[TopKRanking], n: int) -> np.ndarray:
-    """(m, k_max) int32 array of the listed items of each ranking, padded with -1."""
-    if any(s.n != n for s in sample):
-        raise DimensionError("ranking has the wrong item count")
-    k_max = max((s.k for s in sample), default=0)
-    pad = [(-1,) * (k_max - k) for k in range(k_max + 1)]
-    flat = itertools.chain.from_iterable(s.items + pad[s.k] for s in sample)
-    return np.fromiter(flat, dtype=np.int32, count=len(sample) * k_max).reshape(len(sample), k_max)
-
-
 def _pair_sums(items: np.ndarray, code: np.ndarray, weight: np.ndarray, pair) -> np.ndarray:
     """sum_j weight[c_j] - sum_{i<j} pair(c_i, c_j) for each row c of
     code[items], exact in int64.  Padding maps to code[-1], at which weight
@@ -234,12 +340,12 @@ def _pair_sums(items: np.ndarray, code: np.ndarray, weight: np.ndarray, pair) ->
     return out
 
 
-def _distances_to_full(items: np.ndarray, pi: Permutation) -> np.ndarray:
-    """`kendall_topk(s, pi)` for each row, O(k^2): with c_j the pi-rank of the
-    j-th listed item, the distance is sum_j c_j - #{i < j : c_i < c_j}."""
+def _distances_to_full(sample, pi: Permutation) -> np.ndarray:
+    """`kendall_topk(s, pi)` for each ranking, O(k^2): with c_j the pi-rank of
+    the j-th listed item, the distance is sum_j c_j - #{i < j : c_i < c_j}."""
     ranks = np.array(pi.ranks + (-1,), dtype=np.int32)
     weight = np.append(np.arange(pi.n, dtype=np.int32), np.int32(0))
-    return _pair_sums(items, ranks, weight, np.less)
+    return _pair_sums(_as_batch(sample, pi.n).items, ranks, weight, np.less)
 
 
 def _decode_inversions(v: np.ndarray) -> np.ndarray:
@@ -333,39 +439,53 @@ def invert_topk(sigma: TopKRanking) -> TopKRanking:
 # ---------------------------------------------------------------------------
 
 
-def parse_rankings_csv(text: str) -> list:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+def parse_rankings_csv(text: str) -> RankingBatch:
+    """The rankings of a CSV text as one RankingBatch.  The ids of all rows
+    are read in one pass, with the token syntax of int(), and checked at
+    once; a bad file raises the ValidationError of its first bad row."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or not lines[0].startswith("# n="):
         raise ValidationError("missing mandatory header line '# n=<N>'")
     try:
         n = int(lines[0][4:])
     except ValueError as exc:
         raise ValidationError("malformed header line") from exc
-    rankings = []
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            continue
+    if n > _MAX_N:
+        raise ValidationError(f"n must be at most {_MAX_N}")
+    rows = [ln for ln in lines[1:] if ln[0] != "#"]
+    ks = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64, len(rows)) + 1
+    try:
+        ids = np.fromiter(map(int, itertools.chain.from_iterable(
+            map(str.split, rows, itertools.repeat(",")))), np.int64)
+    except (ValueError, OverflowError):
+        ids = None
+    if ids is None or ks.max(initial=0) > n:
+        _raise_first_bad_row(rows, n)
+    return RankingBatch(n, _pad(ids - 1, ks), ks)
+
+
+def _raise_first_bad_row(rows: Sequence[str], n: int) -> None:
+    """Read the rows one by one and raise the error of the first bad one: a
+    token int() cannot read, an id beyond int64 or a row longer than n."""
+    for ln in rows:
         try:
             ids = [int(tok) - 1 for tok in ln.split(",")]
         except ValueError as exc:
             raise ValidationError(f"malformed ranking line {ln!r}") from exc
-        rankings.append(TopKRanking(n, len(ids), tuple(ids)))
-    return rankings
+        TopKRanking(n, len(ids), tuple(ids))
 
 
 def format_rankings_csv(rankings: Iterable[TopKRanking]) -> str:
-    rankings = list(rankings)
-    if not rankings:
+    batch = _as_batch(rankings)
+    if not batch:
         raise ValidationError("cannot write an empty ranking file")
-    n = rankings[0].n
-    if any(r.n != n for r in rankings):
-        raise DimensionError("mixed item counts in one file")
-    rows = [f"# n={n}"]
-    rows.extend(",".join(str(i + 1) for i in r.items) for r in rankings)
+    rows = [f"# n={batch.n}"]
+    rows.extend(",".join(map(str, row[:k]))
+                for row, k in zip((batch.items + 1).tolist(), batch.ks.tolist()))
     return "\n".join(rows) + "\n"
 
 
-def read_rankings_csv(path) -> list:
+def read_rankings_csv(path) -> RankingBatch:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_rankings_csv(fh.read())
 

@@ -5,8 +5,10 @@ from collections import Counter
 import pytest
 
 from mallows_topk.cli import main
-from mallows_topk.rankings import (TopKRanking, format_rankings_csv,
-                                   read_rankings_csv, write_rankings_csv)
+from mallows_topk.model import MallowsModel, RandomSource, sample_topk
+from mallows_topk.rankings import (Permutation, TopKRanking,
+                                   format_rankings_csv, read_rankings_csv,
+                                   write_rankings_csv)
 
 
 def run(*argv):
@@ -158,6 +160,17 @@ class TestBounds:
         assert run("bounds", "--which", "borda", "--n", 8, "--k", 3,
                    "--i", 1) == 2
 
+    @pytest.mark.parametrize("e_gamma", ["0", "nan", "-1", "inf"])
+    def test_bad_expected_distance_exit_2(self, capsys, e_gamma):
+        assert run("bounds", "--which", "separation", "--n", 5, "--c", 3,
+                   "--r", 0.5, "--e-gamma", e_gamma) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        # a vacuous c still exits 3 first
+        assert run("bounds", "--which", "separation", "--n", 5, "--c", 2,
+                   "--r", 0.5, "--e-gamma", e_gamma) == 3
+
     def test_zero_theta_borda_exit_2(self, capsys):
         assert run("bounds", "--which", "borda", "--n", 8, "--k", 3,
                    "--theta", 0, "--i", 1) == 2
@@ -192,6 +205,21 @@ class TestExperiments:
         for r in rows:
             assert float(r["mixture_ll"]) >= float(r["single_ll"]) - 1e-9
 
+    @pytest.mark.parametrize("argv", [
+        ("--name", "eborda", "--seeds", 0),
+        ("--name", "separation", "--seeds", 0),
+        ("--name", "loglik", "--seeds", 0),
+        ("--name", "loglik", "--step", 0),
+        ("--name", "loglik", "--step", -1),
+        ("--name", "eborda", "--seeds", -2),
+    ])
+    def test_non_positive_seeds_or_step_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run("experiment", *argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_experiment_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -199,3 +227,31 @@ class TestExperiments:
                        "--e-gamma-grid", "8", "--c-grid", "9", "--seeds", 2,
                        "--seed", 11, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_paths_build_no_ranking_object_per_row(tmp_path, monkeypatch):
+    # 2000 rankings of mixed k: sample, aggregate and separate must work on
+    # the arrays, not on one checked TopKRanking per row.
+    model = MallowsModel(30, Permutation.identity(30), 0.3)
+    batch = sample_topk(model, 10, 200, RandomSource(10))
+    for k in range(1, 10):
+        batch = batch + sample_topk(model, k, 200, RandomSource(k))
+    src = tmp_path / "mixed.csv"
+    write_rankings_csv(src, batch)
+    calls = []
+    checked = TopKRanking.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        checked(self)
+
+    monkeypatch.setattr(TopKRanking, "__post_init__", counting)
+    runs = [("sample", "--n", 30, "--k", 10, "--theta", 0.3, "--count", 2000,
+             "--seed", 3, "--out", tmp_path / "s.csv"),
+            ("aggregate", "--in", src, "--out", tmp_path / "b.json"),
+            ("aggregate", "--in", src, "--method", "eborda", "--out", tmp_path / "e.json"),
+            ("separate", "--in", src, "--out", tmp_path / "l.csv")]
+    for argv in runs:
+        assert run(*argv) == 0
+    assert len(read_rankings_csv(tmp_path / "s.csv")) == 2000
+    assert len(calls) <= len(runs)  # at most a consensus prefix per command

@@ -13,17 +13,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mallows_topk.estimation import _borda_scores
-from mallows_topk.mixture import (ConcentricMixture, mean_distances,
-                                  mixture_log_likelihood,
+from mallows_topk.estimation import (_borda_scores, _vote_counts, borda,
+                                     borda_estimate, eborda,
+                                     estimate_theta_mle)
+from mallows_topk.mixture import (ConcentricMixture, fit_mixture,
+                                  mean_distances, mixture_log_likelihood,
                                   pairwise_topk_distances, sample_mixture,
                                   separate)
 from mallows_topk.model import (THETA_CAP, MallowsModel, RandomSource,
                                 _sample_v_matrix, log_likelihood,
                                 log_psi_total, sample_topk)
-from mallows_topk.rankings import (Permutation, TopKRanking,
+from mallows_topk.rankings import (Permutation, RankingBatch, TopKRanking,
                                    _decode_inversions, _distances_to_full,
-                                   _item_array, kendall_topk)
+                                   format_rankings_csv, kendall_topk,
+                                   parse_rankings_csv)
 
 
 def _topk(n, perm, k):
@@ -72,7 +75,7 @@ THETAS = st.sampled_from([0.0, 0.35, 1.7, THETA_CAP])
 def test_distance_kernel_equals_kendall_topk(case):
     sample, sigma0 = case
     expected = [kendall_topk(s, sigma0) for s in sample]
-    got = _distances_to_full(_item_array(sample, sigma0.n), sigma0)
+    got = _distances_to_full(sample, sigma0)
     assert got.dtype == np.int64 and got.tolist() == expected
     model = MallowsModel(sigma0.n, sigma0, 1.0)
     assert [model.distance_to_consensus(s) for s in sample] == expected
@@ -136,6 +139,48 @@ def test_borda_scores_equal_the_per_ranking_sum(case):
         row[list(s.items)] = range(s.k)
         expected += row
     assert _borda_scores(sample).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=samples(), theta=THETAS)
+@_small_examples({"theta": 0.35})
+def test_every_kernel_and_estimator_agrees_on_a_batch_and_a_list(case, theta):
+    sample, sigma0 = case
+    batch = parse_rankings_csv(format_rankings_csv(sample))
+    assert isinstance(batch, RankingBatch)
+    assert _distances_to_full(batch, sigma0).tolist() \
+        == _distances_to_full(sample, sigma0).tolist()
+    assert mean_distances(batch).tobytes() == mean_distances(sample).tobytes()
+    assert pairwise_topk_distances(batch).tolist() == pairwise_topk_distances(sample).tolist()
+    assert _borda_scores(batch).tobytes() == _borda_scores(sample).tobytes()
+    assert _vote_counts(batch) == _vote_counts(sample)
+    assert borda(batch) == borda(sample)
+    k = max(s.k for s in sample)
+    assert estimate_theta_mle(batch, sigma0, k, detail=True) \
+        == estimate_theta_mle(sample, sigma0, k, detail=True)
+    model = MallowsModel(sigma0.n, sigma0, theta)
+    assert log_likelihood(model, batch) == log_likelihood(model, sample)
+    mix = ConcentricMixture(sigma0, theta, theta / 2, 0.3)
+    assert mixture_log_likelihood(mix, batch) == mixture_log_likelihood(mix, sample)
+    for method in ("2means", "gap"):
+        a, b = separate(batch, method), separate(sample, method)
+        assert a.to_csv() == b.to_csv() and a.to_json_dict() == b.to_json_dict()
+        assert a.deltas.tobytes() == b.deltas.tobytes()
+    assert borda_estimate(batch).to_json_dict() == borda_estimate(sample).to_json_dict()
+    assert eborda(batch).to_json_dict() == eborda(sample).to_json_dict()
+    assert fit_mixture(batch) == fit_mixture(sample)
+
+
+def test_sample_mixture_interleaves_its_two_components():
+    mix = ConcentricMixture(Permutation.from_items([3, 1, 4, 0, 2, 5]), 2.0, 0.2, 0.4)
+    draw = sample_mixture(mix, 3, 50, RandomSource(8))
+    rng = RandomSource(8)
+    flags = rng.generator.random(50) < 0.4
+    expert = iter(sample_topk(mix.expert_model(), 3, int(flags.sum()), rng))
+    other = iter(sample_topk(mix.nonexpert_model(), 3, int((~flags).sum()), rng))
+    assert isinstance(draw.rankings, RankingBatch)
+    assert list(draw.rankings) == [next(expert) if f else next(other) for f in flags]
+    assert draw.truth.expert_flags == tuple(flags.tolist())
 
 
 def test_separate_allocates_no_pairwise_array():

@@ -178,6 +178,16 @@ class TestBounds:
         with pytest.raises(VacuousBoundError):
             separation_gap(2.0, 0.4, 10.0)
 
+    @pytest.mark.parametrize("e_gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_expected_distance_rejected(self, e_gamma):
+        with pytest.raises(ValidationError):
+            separation_gap(3.0, 0.5, e_gamma)
+        with pytest.raises(ValidationError):
+            min_sample_size(5, 3.0, 0.5, e_gamma, 0.05)
+        # c <= 2 is checked first
+        with pytest.raises(VacuousBoundError):
+            separation_gap(2.0, 0.5, e_gamma)
+
     def test_min_sample_size_fixture(self):
         assert min_sample_size(30, 9, 0.4, 10.0, 0.05) == 1781
 

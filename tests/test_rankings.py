@@ -1,14 +1,16 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mallows_topk.errors import DimensionError, ValidationError
 from mallows_topk.rankings import (FenwickTree, InversionVector, Permutation,
-                                   TopKRanking, format_rankings_csv,
-                                   from_inversion_vector, invert_topk,
-                                   kendall_full, kendall_topk,
+                                   RankingBatch, TopKRanking,
+                                   format_rankings_csv, from_inversion_vector,
+                                   invert_topk, kendall_full, kendall_topk,
                                    parse_rankings_csv, to_inversion_vector)
 
 
@@ -231,3 +233,147 @@ class TestCsv:
     def test_comment_lines_skipped(self):
         rankings = parse_rankings_csv("# n=3\n# a comment\n2,1\n")
         assert rankings == [TopKRanking(3, 2, (1, 0))]
+
+
+@st.composite
+def ranking_lists(draw, max_n=7):
+    """A non-empty list of top-k rankings of one n, k mixed."""
+    n = draw(st.integers(1, max_n))
+    return [TopKRanking(n, k, tuple(items[:k])) for items, k in draw(st.lists(
+        st.tuples(st.permutations(list(range(n))), st.integers(1, n)),
+        min_size=1, max_size=8))]
+
+
+def _reference_parse(text):
+    """The row-by-row CSV reader: one checked TopKRanking per row."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("# n="):
+        raise ValidationError("missing mandatory header line '# n=<N>'")
+    n = int(lines[0][4:])
+    rankings = []
+    for ln in lines[1:]:
+        if ln.startswith("#"):
+            continue
+        try:
+            ids = [int(tok) - 1 for tok in ln.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"malformed ranking line {ln!r}") from exc
+        rankings.append(TopKRanking(n, len(ids), tuple(ids)))
+    return rankings
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return str(exc)
+
+
+TOKENS = ["1", "2", "3", "4", "0", "5", "-1", "x", "", " 2", "+3", "1_0",
+          "\u0663", "99999999999999999999", "2.0"]
+
+
+class TestRankingBatch:
+    @given(ranking_lists())
+    @example([TopKRanking(1, 1, (0,))])
+    @example([TopKRanking(5, 5, (4, 2, 0, 1, 3)), TopKRanking(5, 1, (2,))])
+    def test_csv_round_trip(self, rankings):
+        batch = parse_rankings_csv(format_rankings_csv(rankings))
+        assert isinstance(batch, RankingBatch) and batch.n == rankings[0].n
+        assert batch.items.dtype == np.int32
+        assert batch.items.shape == (len(rankings), max(r.k for r in rankings))
+        assert batch.ks.tolist() == [r.k for r in rankings]
+        assert batch == rankings and rankings == batch
+        assert parse_rankings_csv(format_rankings_csv(batch)) == batch
+        assert format_rankings_csv(batch) == format_rankings_csv(rankings)
+
+    @given(ranking_lists())
+    def test_each_view_is_a_checked_ranking(self, rankings):
+        batch = parse_rankings_csv(format_rankings_csv(rankings))
+        assert len(batch) == len(rankings)
+        for i, r in enumerate(rankings):
+            for view in (batch[i], batch[i - len(rankings)]):
+                assert type(view) is TopKRanking
+                assert view == TopKRanking(r.n, r.k, r.items)
+                assert hash(view) == hash(r)
+                assert all(type(x) is int for x in (view.n, view.k) + view.items)
+        assert list(batch) == rankings
+        with pytest.raises(IndexError):
+            batch[len(rankings)]
+
+    @given(ranking_lists(), st.data())
+    def test_slices_masks_and_concatenation(self, rankings, data):
+        batch = parse_rankings_csv(format_rankings_csv(rankings))
+        lo, hi = sorted(data.draw(st.lists(st.integers(-9, 9), min_size=2, max_size=2)))
+        for part in (slice(lo, hi), slice(None, None, -1), slice(lo, None, 2)):
+            assert isinstance(batch[part], RankingBatch)
+            assert batch[part] == rankings[part]
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(rankings),
+                                           max_size=len(rankings))))
+        chosen = [r for r, keep in zip(rankings, mask) if keep]
+        assert batch[mask] == chosen
+        assert batch[mask] + batch[~mask] == chosen + [r for r, keep in zip(rankings, mask)
+                                                       if not keep]
+        assert batch[:1] + rankings[1:] == rankings
+        assert batch != rankings[:-1]
+        assert (batch == rankings[::-1]) == (rankings == rankings[::-1]) \
+            == (batch == parse_rankings_csv(format_rankings_csv(rankings[::-1])))
+        assert not batch[:0] and batch[:0] == []
+
+    def test_concatenation_rejects_another_item_count(self):
+        batch = parse_rankings_csv("# n=3\n1,2\n")
+        with pytest.raises(DimensionError):
+            batch + parse_rankings_csv("# n=4\n1,2\n")
+
+    def test_constructor_checks_every_row(self):
+        ok = RankingBatch(4, [[3, 0, -1], [1, 2, 0]], [2, 3])
+        assert ok == [TopKRanking(4, 2, (3, 0)), TopKRanking(4, 3, (1, 2, 0))]
+        for items, ks, message in [
+            ([[0, 1], [1, 1]], [2, 2], "items must be distinct ids in 0..n-1"),
+            ([[0, 1], [4, -1]], [2, 1], "items must be distinct ids in 0..n-1"),
+            ([[0, 1], [2, 3]], [2, 1], "items must have length k"),
+            ([[0, -1], [2, 3]], [3, 2], "items must have length k"),
+            ([[0, 0], [2, 3]], [0, 2], "k must satisfy 1 <= k <= n"),
+            ([[0, 1], [2, 3]], [1, 0], "items must have length k"),
+            ([[0, 1], [2, 2]], [5, 2], "k must satisfy 1 <= k <= n"),
+        ]:
+            with pytest.raises(ValidationError) as info:
+                RankingBatch(4, items, ks)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1,5\n1,x", "items must be distinct ids in 0..n-1"),
+        ("1,x\n1,5", "malformed ranking line '1,x'"),
+        ("1,2\n2,2", "items must be distinct ids in 0..n-1"),
+        ("0,1", "items must be distinct ids in 0..n-1"),
+        ("1\n5", "items must be distinct ids in 0..n-1"),
+        ("1,2,3,4,1", "k must satisfy 1 <= k <= n"),
+        ("1,2,3,4,5\n1,x", "k must satisfy 1 <= k <= n"),
+        ("1,x,3,4,5\n1,2,3,4,5", "malformed ranking line '1,x,3,4,5'"),
+        ("2,1\n99999999999999999999", "items must be distinct ids in 0..n-1"),
+        ("2,1\n1,,2", "malformed ranking line '1,,2'"),
+    ])
+    def test_the_first_bad_row_names_the_error(self, rows, message):
+        text = f"# n=4\n{rows}\n"
+        with pytest.raises(ValidationError) as info:
+            parse_rankings_csv(text)
+        assert str(info.value) == message == _outcome(_reference_parse, text)
+
+    def test_a_row_longer_than_n_is_rejected_before_padding(self):
+        text = "# n=3\n" + "1,2\n" * 500 + ",".join(["1"] * 20000) + "\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="k must satisfy"):
+                parse_rankings_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # padding all 501 rows to 20000 ids: 80 MB
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4), rows=st.lists(
+        st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5)
+        .map(",".join) | st.just("# comment"), max_size=6))
+    def test_parse_agrees_with_the_row_by_row_reader(self, n, rows):
+        text = "\n".join([f"# n={n}"] + rows) + "\n"
+        assert _outcome(parse_rankings_csv, text) == _outcome(_reference_parse, text)
