@@ -9,24 +9,24 @@ from .errors import (DimensionError, SizeError, ValidationError,
                      VacuousBoundError)
 from .estimation import (ConsensusEstimate, DeltaTable, ThetaEstimate, borda,
                          borda_estimate, borda_sample_complexity, delta_1k,
-                         delta_ik_oracle, eborda, empirical_pair_accuracy,
-                         estimate_theta_mle, partial_estimate_error)
+                         eborda, empirical_pair_accuracy, estimate_theta_mle,
+                         partial_estimate_error)
 from .mixture import (ConcentricMixture, GroundTruth, MixtureDraw,
                       SeparationResult, fit_mixture, mean_distances,
                       min_sample_size, mixture_log_likelihood,
                       pairwise_topk_distances, sample_mixture, separate,
                       separation_gap)
-from .model import (THETA_CAP, MallowsModel, MarginalEstimate, RandomSource,
+from .model import (THETA_CAP, MallowsModel, RandomSource,
                     expected_topk_distance, log_likelihood, log_psi_factor,
                     log_psi_total, pairwise_marginal, sample_linear_extension,
                     sample_topk, theta_for_expected_distance,
                     uniform_limit_distance, variance_topk_distance)
 from .oracle import (MAX_EXHAUSTIVE_N, ExhaustiveTable, MixtureExpectations,
-                     enumerate_topk, exact_expectations,
+                     delta_ik_oracle, enumerate_topk, exact_expectations,
                      exact_topk_distribution, exhaustive_kemeny,
                      pairwise_distance_matrix)
-from .rankings import (FenwickTree, InversionVector, Permutation,
-                       RankingBatch, TopKRanking, format_rankings_csv,
+from .rankings import (InversionVector, Permutation, RankingBatch,
+                       TopKRanking, format_rankings_csv,
                        from_inversion_vector, invert_topk, kendall_full,
                        kendall_topk, parse_rankings_csv, read_rankings_csv,
                        to_inversion_vector, write_rankings_csv)
@@ -43,7 +43,7 @@ __all__ = [
     "fit_mixture", "mean_distances", "min_sample_size", "mixture_log_likelihood",
     "pairwise_topk_distances", "sample_mixture", "separate",
     "separation_gap",
-    "THETA_CAP", "MallowsModel", "MarginalEstimate", "RandomSource",
+    "THETA_CAP", "MallowsModel", "RandomSource",
     "expected_topk_distance", "log_likelihood", "log_psi_factor",
     "log_psi_total", "pairwise_marginal", "sample_linear_extension",
     "sample_topk", "theta_for_expected_distance", "uniform_limit_distance",
@@ -51,7 +51,7 @@ __all__ = [
     "MAX_EXHAUSTIVE_N", "ExhaustiveTable", "MixtureExpectations",
     "enumerate_topk", "exact_expectations", "exact_topk_distribution",
     "exhaustive_kemeny", "pairwise_distance_matrix",
-    "FenwickTree", "InversionVector", "Permutation", "RankingBatch", "TopKRanking",
+    "InversionVector", "Permutation", "RankingBatch", "TopKRanking",
     "format_rankings_csv", "from_inversion_vector", "invert_topk",
     "kendall_full", "kendall_topk", "parse_rankings_csv",
     "read_rankings_csv", "to_inversion_vector", "write_rankings_csv",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -104,6 +105,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         for name in ("theta", "i"):
             if getattr(args, name) is None:
                 raise ValidationError(f"--{name} is required for the borda bound")
+        if not math.isfinite(args.theta):  # delta_1k takes theta = inf as a limit
+            raise ValidationError("theta must be finite")
         delta = estimation.delta_1k(args.n, args.k, args.theta)
         m = estimation.borda_sample_complexity(args.n, args.k, args.theta,
                                                args.i, args.epsilon)

@@ -6,19 +6,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import mixture
-from .errors import SizeError, ValidationError, VacuousBoundError
+from .errors import ValidationError, VacuousBoundError
 from .model import (MallowsModel, RandomSource, THETA_CAP, sample_topk,
                     theta_for_expected_distance, uniform_limit_distance)
-from .oracle import MAX_EXHAUSTIVE_N, _full_lists, _inversions
-from .rankings import (Permutation, TopKRanking, _as_batch,
+from .oracle import delta_ik_oracle
+from .rankings import (Permutation, RankingLike, TopKRanking, _as_batch,
                        _distances_to_full, kendall_topk)
-
-RankingLike = Union[Permutation, TopKRanking]
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +227,6 @@ def delta_1k(n: int, k: int, theta: float) -> float:
     for r2 in range(min(k, n - 1)):
         second += p2[r2] * (1.0 - c1[r2])  # V_1 > V_2: item 2 lands at V_2 + 1
     return first - second
-
-
-def delta_ik_oracle(n: int, k: int, i: int, theta: float) -> float:
-    """Exhaustive P(sigma(i) <= k) - P(sigma(i+1) <= k), items 1-based,
-    consensus = identity; n <= 8."""
-    if n > MAX_EXHAUSTIVE_N:
-        raise SizeError(f"exhaustive enumeration limited to n <= {MAX_EXHAUSTIVE_N}")
-    if not 1 <= i <= n - 1:
-        raise ValidationError("i must satisfy 1 <= i <= n-1")
-    if not 1 <= k <= n:
-        raise ValidationError("k must satisfy 1 <= k <= n")
-    lists = _full_lists(n)
-    log_w = -theta * _inversions(lists).astype(float)
-    w = np.exp(log_w - log_w.max())
-    total = math.fsum(w.tolist())
-    top = lists[:, :k]
-    hit_i = (top == i - 1).any(axis=1)
-    hit_next = (top == i).any(axis=1)
-    return (math.fsum(w[hit_i].tolist()) - math.fsum(w[hit_next].tolist())) / total
 
 
 @dataclass

@@ -219,11 +219,16 @@ def separation_gap(c: float, r: float, expected_gamma_dist: float) -> float:
     """Guaranteed E[delta_beta - delta_gamma] lower bound: (c-2) r E[d(gamma, sigma0)]."""
     if c <= 2:
         raise VacuousBoundError("the separation bound requires c > 2")
+    if not (math.isfinite(c) and math.isfinite(r)):
+        raise ValidationError("c and r must be finite")
     if not 0 < r <= 1:
         raise VacuousBoundError("r must lie in (0, 1]")
     if not 0 < expected_gamma_dist < math.inf:
         raise ValidationError("the expected expert distance must be positive and finite")
-    return (c - 2) * r * expected_gamma_dist
+    gap = (c - 2) * r * expected_gamma_dist
+    if not 0 < gap < math.inf:
+        raise ValidationError("the gap (c - 2) r E[d] is out of float range")
+    return gap
 
 
 def min_sample_size(n: int, c: float, r: float, expected_gamma_dist: float,
@@ -232,6 +237,8 @@ def min_sample_size(n: int, c: float, r: float, expected_gamma_dist: float,
     gap = separation_gap(c, r, expected_gamma_dist)
     if not 0 < epsilon < 1:
         raise ValidationError("epsilon must lie in (0, 1)")
+    if n < 2:
+        raise ValidationError("the separation bound needs n >= 2")
     return math.ceil((n * (n - 1) / gap) ** 2 * math.log(2 / epsilon) / 2)
 
 

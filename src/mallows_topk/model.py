@@ -1,17 +1,16 @@
 """Single-component Mallows model for top-k rankings.
 
 Normalization constants, exact probabilities, quasi-linear sampling, moments
-of the distance, and pairwise marginals.  All probability accumulation is
-done in log-space; the theta = 0 uniform case is handled by explicit limit
-branches rather than 0/0 expressions.
+of the distance, and exact O(1) pairwise marginals for any n.  All
+probability accumulation is done in log-space; the theta = 0 uniform case is
+handled by explicit limit branches rather than 0/0 expressions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .rankings import (
     _decode_inversions,
     _distances_to_full,
     kendall_topk,
-    to_inversion_vector,
 )
 
 THETA_CAP = 50.0  # beyond this the distribution is numerically a point mass
@@ -93,32 +91,16 @@ class MallowsModel:
     n: int
     sigma0: Permutation
     theta: float
-    log_psi_factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sigma0.n != self.n:
             raise DimensionError("consensus ranking has the wrong item count")
         if not (self.theta >= 0.0):
             raise ValidationError("theta must be >= 0")
-        factors = tuple(
-            log_psi_factor(self.theta, self.n - j + 1) for j in range(1, self.n)
-        )
-        object.__setattr__(self, "log_psi_factors", factors)
 
     @classmethod
     def uniform(cls, n: int) -> "MallowsModel":
         return cls(n, Permutation.identity(n), 0.0)
-
-    def log_psi(self, upto: Optional[int] = None) -> float:
-        """log prod_{j=1}^{upto} psi_{n,j}; full normalization when upto is omitted."""
-        if upto is None:
-            upto = self.n - 1
-        if not 1 <= upto <= self.n - 1:
-            raise ValidationError("upto must satisfy 1 <= upto <= n-1")
-        return sum(self.log_psi_factors[:upto])
-
-    def psi(self, upto: Optional[int] = None) -> float:
-        return math.exp(self.log_psi(upto))
 
     def v_marginal(self, j: int, r: int) -> float:
         """P(V_j = r) = exp(-theta r) / psi_{n,j}; j is 1-based, r in 0..n-j."""
@@ -126,13 +108,10 @@ class MallowsModel:
             raise ValidationError("j must satisfy 1 <= j <= n-1")
         if not 0 <= r <= self.n - j:
             raise ValidationError(f"r={r} outside 0..{self.n - j}")
-        return math.exp(-self.theta * r - self.log_psi_factors[j - 1])
-
-    def _relabel(self, sigma: TopKRanking) -> TopKRanking:
-        """Express sigma in consensus-rank space (right-invariance reduction)."""
-        if sigma.n != self.n:
-            raise DimensionError("ranking has the wrong item count")
-        return TopKRanking(self.n, sigma.k, tuple(self.sigma0.ranks[i] for i in sigma.items))
+        log_p = -log_psi_factor(self.theta, self.n - j + 1)
+        if r:  # at r = 0, -theta * r would be nan for theta = inf, whose limit is 0
+            log_p -= self.theta * r
+        return math.exp(log_p)
 
     def distance_to_consensus(self, sigma: TopKRanking) -> int:
         return int(_distances_to_full([sigma], self.sigma0)[0])
@@ -198,14 +177,14 @@ def sample_linear_extension(model: MallowsModel, sigma: TopKRanking,
     if sigma.n != model.n:
         raise DimensionError("ranking has the wrong item count")
     n, k = model.n, sigma.k
-    fixed = list(to_inversion_vector(model._relabel(sigma)).v)[: min(k, n - 1)]
-    if len(fixed) < n - 1:
-        tail = _sample_v_matrix(model.theta, n, range(len(fixed) + 1, n), 1, rng.generator)
-        fixed.extend(int(x) for x in tail[0])
-    # the last code is the 0-th of the one value left unused
-    codes = _decode_inversions(np.array([fixed + [0]], dtype=np.int64))[0]
-    by_rank = model.sigma0.items_by_rank()
-    return Permutation.from_items([by_rank[c] for c in codes.tolist()])
+    listed = set(sigma.items)
+    # position j takes the V_j-th (0-based) of the unplaced items in consensus order
+    rest = [item for item in model.sigma0.items_by_rank() if item not in listed]
+    tail = []
+    if k < n - 1:
+        v = _sample_v_matrix(model.theta, n, range(k + 1, n), 1, rng.generator)
+        tail = [rest.pop(x) for x in v[0].tolist()]
+    return Permutation.from_items(sigma.items + tuple(tail) + tuple(rest))
 
 
 # ---------------------------------------------------------------------------
@@ -273,42 +252,28 @@ def theta_for_expected_distance(n: int, k: int, target: float,
 # ---------------------------------------------------------------------------
 
 
-class MarginalEstimate(NamedTuple):
-    p: float
-    se: float
-    exact: bool
+def pairwise_marginal(model: MallowsModel, i: int, j: int) -> float:
+    """P(item i is preferred to item j), exact for every n in O(1).
 
-
-def pairwise_marginal(model: MallowsModel, i: int, j: int,
-                      rng: Optional[RandomSource] = None,
-                      draws: int = 10**5) -> MarginalEstimate:
-    """P(item i is preferred to item j).
-
-    Exact enumeration for n <= 8; Monte Carlo with a standard error beyond
-    that (an rng is then required).  p_ij + p_ji = 1 by construction.
+    With h the gap between the two consensus ranks and q = e^-theta, the item
+    ranked higher in the consensus wins with probability
+    (h+1)/(1 - q^(h+1)) - h/(1 - q^h) (Mallows 1957), written here as
+    (1 - q^h - h q^h (1 - q)) / ((1 - q^h)(1 - q^(h+1))), which loses only a
+    factor 1/(theta (h+1)) to cancellation; below theta (h+1) = 1e-2 its
+    series 1/2 + theta (2h+1)/12 - theta^3 ((h+1)^4 - h^4)/720 is used.
+    p_ij + p_ji = 1.
     """
     if i == j or not (0 <= i < model.n and 0 <= j < model.n):
         raise ValidationError("need two distinct items in range")
-    if model.n <= 8:
-        log_weights = []
-        hits = []
-        for perm in itertools.permutations(range(model.n)):
-            sigma = Permutation(model.n, perm)
-            d = kendall_topk(sigma, model.sigma0)
-            log_weights.append(-model.theta * d)
-            hits.append(perm[i] < perm[j])
-        mx = max(log_weights)
-        weights = [math.exp(lw - mx) for lw in log_weights]
-        total = math.fsum(weights)
-        num = math.fsum(w for w, h in zip(weights, hits) if h)
-        return MarginalEstimate(num / total, 0.0, True)
-    if rng is None:
-        raise ValidationError("Monte Carlo estimation needs a RandomSource")
-    items = sample_topk(model, model.n, draws, rng).items
-    wins = int(((items == i).argmax(axis=1) < (items == j).argmax(axis=1)).sum())
-    p = wins / draws
-    se = math.sqrt(max(p * (1 - p), 1e-12) / draws)
-    return MarginalEstimate(p, se, False)
+    a, b = model.sigma0.ranks[i], model.sigma0.ranks[j]
+    h, theta = abs(a - b), model.theta
+    if theta * (h + 1) < 1e-2:
+        p = 0.5 + theta * (2 * h + 1) / 12 - theta**3 * ((h + 1)**4 - h**4) / 720
+    else:
+        head = -math.expm1(-theta * h)
+        p = ((head - h * math.exp(-theta * h) * -math.expm1(-theta))
+             / (head * -math.expm1(-theta * (h + 1))))
+    return p if a < b else 1.0 - p
 
 
 def log_likelihood(model: MallowsModel, sample: Sequence[TopKRanking]) -> float:

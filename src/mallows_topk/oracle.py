@@ -70,6 +70,24 @@ def exact_topk_distribution(n: int, k: int, theta: float,
     return {key: math.fsum(ws) / z for key, ws in acc.items()}
 
 
+def delta_ik_oracle(n: int, k: int, i: int, theta: float) -> float:
+    """Exhaustive P(sigma(i) <= k) - P(sigma(i+1) <= k), items 1-based,
+    consensus = identity; n <= 8."""
+    _check_size(n)
+    if not 1 <= i <= n - 1:
+        raise ValidationError("i must satisfy 1 <= i <= n-1")
+    if not 1 <= k <= n:
+        raise ValidationError("k must satisfy 1 <= k <= n")
+    lists = _full_lists(n)
+    log_w = -theta * _inversions(lists).astype(float)
+    w = np.exp(log_w - log_w.max())
+    total = math.fsum(w.tolist())
+    top = lists[:, :k]
+    hit_i = (top == i - 1).any(axis=1)
+    hit_next = (top == i).any(axis=1)
+    return (math.fsum(w[hit_i].tolist()) - math.fsum(w[hit_next].tolist())) / total
+
+
 def _sentinel_rank_matrix(objects: Sequence[tuple], n: int, k: int) -> np.ndarray:
     ranks = np.full((len(objects), n), k, dtype=np.int64)
     rows = np.arange(len(objects))

@@ -7,6 +7,7 @@ readers/writers at the bottom of this module.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -14,52 +15,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-
-
-class FenwickTree:
-    """Binary indexed tree over integer counts with prefix-sum and k-th order select."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    @classmethod
-    def ones(cls, size: int) -> "FenwickTree":
-        bit = cls(size)
-        for i in range(1, size + 1):
-            bit.tree[i] += 1
-            parent = i + (i & -i)
-            if parent <= size:
-                bit.tree[parent] += bit.tree[i]
-        return bit
-
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        while i <= self.size:
-            self.tree[i] += delta
-            i += i & -i
-
-    def prefix_sum(self, count: int) -> int:
-        """Sum of the first `count` slots (indices 0..count-1)."""
-        total = 0
-        i = count
-        while i > 0:
-            total += self.tree[i]
-            i -= i & -i
-        return total
-
-    def select(self, k: int) -> int:
-        """Index of the (k+1)-th nonzero slot (0-based k among present elements)."""
-        pos = 0
-        remaining = k + 1
-        bit_mask = 1 << (self.size.bit_length())
-        while bit_mask:
-            nxt = pos + bit_mask
-            if nxt <= self.size and self.tree[nxt] < remaining:
-                pos = nxt
-                remaining -= self.tree[nxt]
-            bit_mask >>= 1
-        return pos  # 0-based index
 
 
 @dataclass(frozen=True)
@@ -368,26 +323,22 @@ def _decode_inversions(v: np.ndarray) -> np.ndarray:
 def to_inversion_vector(r: RankingLike) -> InversionVector:
     """Discordance counts of a ranking relative to the identity.
 
-    For a Permutation, v[j] counts later items that outrank item j.  For a
-    TopKRanking, v[j] counts the not-yet-placed item ids smaller than the
-    j-th listed item; both conventions sum to the Kendall distance to the
-    identity and are inverted exactly by `from_inversion_vector`.
+    With c the ranks of items 0..n-1 (Permutation) or the listed item ids
+    (TopKRanking), v_j = c_j - #{i < j : c_i < c_j}: the values below c_j
+    not taken by an earlier position.  A Permutation drops the last count,
+    always 0.  Both sum to the Kendall distance to the identity and are
+    inverted exactly by `from_inversion_vector`.  The count bisects the sorted
+    earlier values: O(k^2) at worst, and nothing of size n for a top-k list.
     """
     if isinstance(r, Permutation):
-        n = r.n
-        bit = FenwickTree(n)
-        v = [0] * (n - 1) if n > 1 else []
-        for j in range(n - 1, -1, -1):
-            if j < n - 1:
-                v[j] = bit.prefix_sum(r.ranks[j])
-            bit.add(r.ranks[j], 1)
-        return InversionVector(n, max(n - 1, 1), tuple(v) if v else (0,))
-    bit = FenwickTree.ones(r.n)
-    v = []
-    for item in r.items:
-        v.append(bit.prefix_sum(item))
-        bit.add(item, -1)
-    return InversionVector(r.n, r.k, tuple(v))
+        codes, k = r.ranks, max(r.n - 1, 1)
+    else:
+        codes, k = r.items, r.k
+    earlier, v = [], []
+    for c in codes[:k]:
+        v.append(c - bisect.bisect_left(earlier, c))
+        bisect.insort(earlier, c)
+    return InversionVector(r.n, k, tuple(v))
 
 
 def from_inversion_vector(v: InversionVector, form: str = "auto") -> RankingLike:

@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mallows_topk.cli import main
 from mallows_topk.model import MallowsModel, RandomSource, sample_topk
@@ -170,6 +174,42 @@ class TestBounds:
         # a vacuous c still exits 3 first
         assert run("bounds", "--which", "separation", "--n", 5, "--c", 2,
                    "--r", 0.5, "--e-gamma", e_gamma) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("separation", "--n", 5, "--c", "nan", "--r", 0.5, "--e-gamma", 3),
+        ("separation", "--n", 5, "--c", "inf", "--r", 0.5, "--e-gamma", 3),
+        ("separation", "--n", 5, "--c", 3, "--r", "nan", "--e-gamma", 3),
+        ("separation", "--n", -1, "--c", 3, "--r", 0.5, "--e-gamma", 3),
+        ("separation", "--n", 1, "--c", 3, "--r", 0.5, "--e-gamma", 3),
+        ("borda", "--n", 8, "--k", 3, "--theta", "inf", "--i", 1),
+        ("borda", "--n", 8, "--k", 3, "--theta", "nan", "--i", 1),
+    ])
+    def test_invalid_bound_argument_exit_2(self, capsys, argv):
+        assert run("bounds", "--which", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(which=st.sampled_from(["borda", "separation"]),
+           n=st.sampled_from([-1, 0, 1, 2, 8]),
+           values=st.lists(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308",
+                                            "0.05", "0.5", "1", "3", "9"]),
+                           min_size=5, max_size=5))
+    def test_any_float_argument_exits_cleanly(self, which, n, values):
+        argv = ["bounds", "--which", which, f"--n={n}", "--k=3", "--i=1"]
+        argv += [f"--{name}={v}" for name, v in
+                 zip(("theta", "c", "r", "e-gamma", "epsilon"), values)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            payload = json.loads(out.getvalue(), parse_constant=pytest.fail)
+            assert payload["m"] >= 0
+        else:
+            assert code in (2, 3) and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
 
     def test_zero_theta_borda_exit_2(self, capsys):
         assert run("bounds", "--which", "borda", "--n", 8, "--k", 3,

@@ -212,6 +212,12 @@ class TestDelta:
                 == pytest.approx(delta_ik_oracle(n, k, 1, theta) if n > 1 else 0.0,
                                  abs=1e-12)
 
+    def test_infinite_theta_is_the_limit(self):
+        # P(V_j = 0) is 1 at theta = inf, not exp(-inf * 0) = nan
+        assert delta_1k(8, 3, math.inf) == delta_1k(8, 3, 1e308) == 0.0
+        model = MallowsModel(8, Permutation.identity(8), math.inf)
+        assert [model.v_marginal(2, r) for r in range(7)] == [1.0] + [0.0] * 6
+
     def test_argmin_at_first_pair(self):
         # for k >= n/2 the smallest gap is at i = 1
         for n in (5, 6):

@@ -22,7 +22,8 @@ from mallows_topk.mixture import (ConcentricMixture, fit_mixture,
                                   separate)
 from mallows_topk.model import (THETA_CAP, MallowsModel, RandomSource,
                                 _sample_v_matrix, log_likelihood,
-                                log_psi_total, sample_topk)
+                                log_psi_total, sample_linear_extension,
+                                sample_topk)
 from mallows_topk.rankings import (Permutation, RankingBatch, TopKRanking,
                                    _decode_inversions, _distances_to_full,
                                    format_rankings_csv, kendall_topk,
@@ -247,6 +248,29 @@ def test_sample_topk_decodes_its_inversion_draws(seed, n, k, theta):
     expected = [tuple(by_rank[c] for c in _reference_decode(n, row))
                 for row in v.tolist()]
     assert [r.items for r in rows] == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17])
+@pytest.mark.parametrize("n, theta", [(1, 0.0), (2, 0.4), (6, 0.0), (9, 3.0),
+                                      (30, 0.3), (40, THETA_CAP)])
+def test_linear_extension_decodes_its_tail_draws(seed, n, theta):
+    # the codes of the prefix's consensus ranks, then V_{k+1}..V_{n-1} drawn
+    # as one row (none when k >= n - 1), then 0 for the one value left
+    gen = np.random.default_rng(seed)
+    sigma0 = Permutation.from_items(gen.permutation(n).tolist())
+    model = MallowsModel(n, sigma0, theta)
+    by_rank = sigma0.items_by_rank()
+    for k in sorted({1, max(n - 1, 1), n, int(gen.integers(1, n + 1))}):
+        prefix = TopKRanking(n, k, tuple(gen.permutation(n)[:k].tolist()))
+        c = [sigma0.ranks[i] for i in prefix.items]
+        rng, ref = RandomSource(seed + k), RandomSource(seed + k).generator
+        for _ in range(5):
+            v = [c[j] - sum(x < c[j] for x in c[:j]) for j in range(k)]
+            if k < n - 1:
+                v += _sample_v_matrix(theta, n, range(k + 1, n), 1, ref)[0].tolist()
+            v += [0] * (n - len(v))
+            expected = tuple(by_rank[x] for x in _reference_decode(n, v))
+            assert sample_linear_extension(model, prefix, rng).items_by_rank() == expected
 
 
 def test_sample_topk_allocates_nothing_of_width_n():

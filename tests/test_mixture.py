@@ -188,6 +188,24 @@ class TestBounds:
         with pytest.raises(VacuousBoundError):
             separation_gap(2.0, 0.5, e_gamma)
 
+    @pytest.mark.parametrize("c, r", [(math.nan, 0.5), (math.inf, 0.5), (3.0, math.nan),
+                                      (3.0, math.inf), (3.0, -math.inf)])
+    def test_non_finite_c_or_r_rejected(self, c, r):
+        with pytest.raises(ValidationError):
+            separation_gap(c, r, 10.0)
+        # c <= 2 is checked first
+        with pytest.raises(VacuousBoundError):
+            separation_gap(2.0, r, 10.0)
+
+    def test_gap_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError):
+            separation_gap(1e308, 1.0, 1e308)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_min_sample_size_needs_two_items(self, n):
+        with pytest.raises(ValidationError):
+            min_sample_size(n, 3.0, 0.5, 10.0, 0.05)
+
     def test_min_sample_size_fixture(self):
         assert min_sample_size(30, 9, 0.4, 10.0, 0.05) == 1781
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 from collections import Counter
 
@@ -194,13 +195,43 @@ class TestMoments:
 class TestMarginalsAndLikelihood:
     def test_pairwise_marginal_exact(self):
         model = MallowsModel(5, Permutation.identity(5), 1.0)
-        est = pairwise_marginal(model, 0, 4)
-        assert est.exact and est.p > 0.5
-        assert math.isclose(est.p + pairwise_marginal(model, 4, 0).p, 1.0)
+        p = pairwise_marginal(model, 0, 4)
+        assert p > 0.5
+        assert math.isclose(p + pairwise_marginal(model, 4, 0), 1.0)
 
     def test_pairwise_marginal_uniform(self):
         model = MallowsModel(6, Permutation.identity(6), 0.0)
-        assert math.isclose(pairwise_marginal(model, 1, 3).p, 0.5)
+        assert math.isclose(pairwise_marginal(model, 1, 3), 0.5)
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-6, 1e-4, 0.003, 0.35, 1.7, THETA_CAP])
+    def test_pairwise_marginal_matches_oracle(self, theta):
+        rng = np.random.default_rng(11)
+        for n in range(2, 9):
+            sigma0 = Permutation.from_items(rng.permutation(n).tolist())
+            dist = exact_topk_distribution(n, n, theta, sigma0)
+            position = np.argsort(np.array(list(dist)), axis=1)
+            probs = np.array(list(dist.values()))
+            model = MallowsModel(n, sigma0, theta)
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        exact = math.fsum(probs[position[:, i] < position[:, j]].tolist())
+                        assert abs(pairwise_marginal(model, i, j) - exact) < 1e-12
+
+    def test_pairwise_marginal_matches_decimal_closed_form(self):
+        # (h+1)/(1 - q^(h+1)) - h/(1 - q^h) at 50 digits; that form in floats
+        # is off by up to 3e-7 at theta = 1e-9, and by 3e-11 at theta = 1e-6, h = 10^4
+        ctx = decimal.Context(prec=50)
+        for h in [1, 2, 3, 7, 10, 31, 99, 100, 101, 1000, 9999, 10**4]:
+            sigma0 = Permutation.reverse(h + 2)  # item h + 1 is h ranks above item 1
+            for theta in [1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 9e-4, 1e-3, 3e-3, 0.0101,
+                          0.1, 0.35, 1.0, 1.7, 10.0, 50.0]:
+                q = ctx.exp(-decimal.Decimal(theta))
+                exact = ctx.subtract(
+                    ctx.divide(h + 1, ctx.subtract(1, ctx.power(q, h + 1))),
+                    ctx.divide(h, ctx.subtract(1, ctx.power(q, h))))
+                model = MallowsModel(h + 2, sigma0, theta)
+                assert abs(pairwise_marginal(model, h + 1, 1) - float(exact)) < 1e-12
 
     def test_log_likelihood_additive(self):
         model = MallowsModel(6, Permutation.identity(6), 0.6)

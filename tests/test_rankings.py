@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mallows_topk.errors import DimensionError, ValidationError
-from mallows_topk.rankings import (FenwickTree, InversionVector, Permutation,
+from mallows_topk.rankings import (InversionVector, Permutation,
                                    RankingBatch, TopKRanking,
                                    format_rankings_csv, from_inversion_vector,
                                    invert_topk, kendall_full, kendall_topk,
@@ -29,27 +29,6 @@ def topk_rankings(draw, max_n=7):
     k = draw(st.integers(1, n))
     items = draw(st.permutations(list(range(n))))
     return TopKRanking(n, k, tuple(items[:k]))
-
-
-class TestFenwickTree:
-    def test_ones_prefix_sums(self):
-        bit = FenwickTree.ones(10)
-        assert [bit.prefix_sum(i) for i in range(11)] == list(range(11))
-
-    def test_select_after_removals(self):
-        bit = FenwickTree.ones(6)
-        bit.add(2, -1)
-        bit.add(0, -1)
-        # remaining: 1, 3, 4, 5
-        assert [bit.select(i) for i in range(4)] == [1, 3, 4, 5]
-
-    @given(st.lists(st.integers(0, 50), min_size=1, max_size=30))
-    def test_prefix_sum_matches_list(self, values):
-        bit = FenwickTree(len(values))
-        for i, v in enumerate(values):
-            bit.add(i, v)
-        for i in range(len(values) + 1):
-            assert bit.prefix_sum(i) == sum(values[:i])
 
 
 class TestPermutation:
@@ -165,6 +144,27 @@ class TestInversionVector:
     def test_topk_round_trip(self, r):
         v = to_inversion_vector(r)
         assert from_inversion_vector(v, form="topk") == r
+
+    @settings(max_examples=300)
+    @given(topk_rankings(max_n=9), st.booleans())
+    @example(TopKRanking(1, 1, (0,)), True)
+    @example(TopKRanking(1, 1, (0,)), False)
+    @example(TopKRanking(9, 1, (5,)), False)
+    @example(TopKRanking(9, 9, (3, 8, 0, 5, 1, 7, 2, 6, 4)), True)
+    @example(TopKRanking(9, 9, (3, 8, 0, 5, 1, 7, 2, 6, 4)), False)
+    def test_matches_the_definition(self, r, full):
+        # v_j counts the unused values below c_j: later items that outrank
+        # item j of a Permutation, unplaced smaller ids of a top-k list
+        if full:
+            r = Permutation.from_items(r.items + tuple(
+                sorted(set(range(r.n)) - set(r.items))))
+            c, k = r.ranks, max(r.n - 1, 1)
+            expected = [sum(c[i] < c[j] for i in range(j + 1, r.n)) for j in range(k)]
+        else:
+            c, k = r.items, r.k
+            expected = [sum(x < c[j] and x not in c[:j] for x in range(r.n))
+                        for j in range(k)]
+        assert to_inversion_vector(r) == InversionVector(r.n, k, tuple(expected))
 
     @given(perms)
     def test_sum_equals_distance_to_identity(self, p):
