@@ -291,16 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--sigma0", help="CSV file with one full consensus ranking")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("separate", help="split a sample into expert/non-expert")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--method", choices=["2means", "gap"], default="2means")
     p.add_argument("--out", help="labels CSV path (default stdout)")
     p.add_argument("--json", help="fit JSON path (default <out>.json)")
-    p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("aggregate", help="estimate a consensus ranking")
     p.add_argument("--in", dest="input", required=True)
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-method", choices=["2means", "gap"],
                    default="gap")
     p.add_argument("--out", help="JSON path (default stdout)")
-    p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("bounds", help="evaluate the theoretical sample bounds")
     p.add_argument("--which", choices=["borda", "separation"], required=True)
@@ -321,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-gamma", dest="e_gamma", type=float)
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--out", help="JSON path (default stdout)")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("experiment", help="run a CSV experiment harness")
     p.add_argument("--name", choices=["separation", "eborda", "loglik"],
@@ -346,22 +342,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="impostors added per log-likelihood step")
     p.add_argument("--data", help="user-supplied ranking CSV (loglik only)")
     p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_experiment)
     return parser
 
 
+_parser: list = []  # holds the parser once the first main call builds it
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if not _parser:
+        _parser.append(build_parser())
+    args = _parser[0].parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        args.seed = _default_seed()
     if args.command == "experiment":
         if args.mg is None:
             args.mg = 40 if args.name == "separation" else 4
         if args.mb is None:
             args.mb = 60 if args.name == "separation" else 40
     try:
-        return args.func(args)
+        # looked up by name at call time, so a rebound cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except VacuousBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,8 +12,9 @@ import numpy as np
 
 from . import mixture
 from .errors import ValidationError, VacuousBoundError
-from .model import (MallowsModel, RandomSource, THETA_CAP, sample_topk,
-                    theta_for_expected_distance, uniform_limit_distance)
+from .model import (MallowsModel, RandomSource, THETA_CAP, log_psi_factor,
+                    sample_topk, theta_for_expected_distance,
+                    uniform_limit_distance)
 from .oracle import delta_ik_oracle
 from .rankings import (Permutation, RankingLike, TopKRanking, _as_batch,
                        _distances_to_full, kendall_topk)
@@ -207,7 +208,8 @@ def delta_1k(n: int, k: int, theta: float) -> float:
 
     Uses the independent inversion-count marginals: the first item sits at
     position V_1 + 1, the second at V_2 + 1 + [V_1 <= V_2], so both terms
-    reduce to prefix sums of the two truncated-geometric laws; O(n + k).
+    reduce to prefix sums of the two truncated-geometric laws.  Only their
+    first k terms are read, so this is O(k) for any n.
     """
     if not 1 <= k <= n:
         raise ValidationError("k must satisfy 1 <= k <= n")
@@ -215,11 +217,19 @@ def delta_1k(n: int, k: int, theta: float) -> float:
         raise ValidationError("theta must be >= 0")
     if n == 1 or k == n:
         return 0.0
-    model = MallowsModel(n, Permutation.identity(n), theta)
-    p1 = [model.v_marginal(1, r) for r in range(n)]
-    c1 = list(itertools.accumulate(p1))  # c1[r] = P(V_1 <= r)
+    try:
+        float(n)  # the laws below are evaluated in floats
+    except OverflowError:
+        raise ValidationError("n is beyond the float range") from None
+
+    def law(j: int, count: int) -> list:
+        """P(V_j = r) for r < count, as MallowsModel.v_marginal computes it."""
+        log_psi = log_psi_factor(theta, n - j + 1)
+        return [math.exp(-log_psi - theta * r if r else -log_psi) for r in range(count)]
+
+    c1 = list(itertools.accumulate(law(1, k)))  # c1[r] = P(V_1 <= r)
     # V_2 is deterministic when n = 2 (only one slot remains)
-    p2 = [1.0] if n == 2 else [model.v_marginal(2, r) for r in range(n - 1)]
+    p2 = [1.0] if n == 2 else law(2, min(k, n - 1))
     first = c1[k - 1]
     second = 0.0
     for r2 in range(min(k - 1, n - 1)):
@@ -269,10 +279,13 @@ def borda_sample_complexity(n: int, k: int, theta: float, i: int,
         raise ValidationError("theta must be positive")
     if not 1 <= i <= n - 1:
         raise ValidationError("i must satisfy 1 <= i <= n-1")
-    gap = _borda_leading_term(n, k, theta) - i * delta_1k(n, k, theta)
-    if gap <= 0:
-        raise VacuousBoundError("sample-complexity bound is vacuous here")
-    return math.ceil(2 * n**2 * math.log(1 / epsilon) / gap**2)
+    try:
+        gap = _borda_leading_term(n, k, theta) - i * delta_1k(n, k, theta)
+        if gap <= 0:
+            raise VacuousBoundError("sample-complexity bound is vacuous here")
+        return math.ceil(2 * n**2 * math.log(1 / epsilon) / gap**2)
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError("the sample-size bound is out of float range") from None
 
 
 def empirical_pair_accuracy(n: int, k: int, theta: float, i: int, m: int,

@@ -144,7 +144,7 @@ class SeparationResult:
 
     def to_csv(self) -> str:
         rows = ["index,delta,label"]
-        for i, (d, f) in enumerate(zip(self.deltas, self.expert_flags)):
+        for i, (d, f) in enumerate(zip(self.deltas.tolist(), self.expert_flags)):
             rows.append(f"{i},{d:.10g},{'expert' if f else 'nonexpert'}")
         return "\n".join(rows) + "\n"
 
@@ -239,7 +239,10 @@ def min_sample_size(n: int, c: float, r: float, expected_gamma_dist: float,
         raise ValidationError("epsilon must lie in (0, 1)")
     if n < 2:
         raise ValidationError("the separation bound needs n >= 2")
-    return math.ceil((n * (n - 1) / gap) ** 2 * math.log(2 / epsilon) / 2)
+    try:
+        return math.ceil((n * (n - 1) / gap) ** 2 * math.log(2 / epsilon) / 2)
+    except OverflowError:
+        raise ValidationError("the sample-size bound is out of float range") from None
 
 
 # ---------------------------------------------------------------------------

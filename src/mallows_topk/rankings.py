@@ -430,10 +430,18 @@ def format_rankings_csv(rankings: Iterable[TopKRanking]) -> str:
     batch = _as_batch(rankings)
     if not batch:
         raise ValidationError("cannot write an empty ranking file")
-    rows = [f"# n={batch.n}"]
-    rows.extend(",".join(map(str, row[:k]))
-                for row, k in zip((batch.items + 1).tolist(), batch.ks.tolist()))
-    return "\n".join(rows) + "\n"
+    blocks = [f"# n={batch.n}\n"]
+    for lo in range(0, len(batch), _BLOCK):
+        items = batch.items[lo:lo + _BLOCK]
+        ids = items[items >= 0]
+        # each distinct id of the block becomes text once; the block is one
+        # gather of "<id>," tokens, each row's last token swapped for "<id>\n"
+        table, code = np.unique(ids, return_inverse=True)
+        tokens = np.array([f"{w}," for w in (table + 1).tolist()], dtype=object)[code]
+        last = np.cumsum(batch.ks[lo:lo + _BLOCK]) - 1
+        tokens[last] = [f"{w}\n" for w in (ids[last] + 1).tolist()]
+        blocks.append("".join(tokens.tolist()))
+    return "".join(blocks)
 
 
 def read_rankings_csv(path) -> RankingBatch:

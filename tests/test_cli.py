@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -29,6 +30,31 @@ class TestSample:
         rankings = read_rankings_csv(out1)
         assert len(rankings) == 100
         assert all(r.n == 30 and r.k == 10 for r in rankings)
+
+    def test_seed_defaults_to_the_environment_on_every_call(self, tmp_path, monkeypatch):
+        argv = ["sample", "--n", 30, "--k", 5, "--theta", 0.4, "--count", 50]
+        texts = {}
+        for seed in (11, 12):
+            explicit, implicit = tmp_path / f"s{seed}.csv", tmp_path / f"e{seed}.csv"
+            assert run(*argv, "--seed", seed, "--out", explicit) == 0
+            monkeypatch.setenv("MALLOWS_TOPK_SEED", str(seed))
+            assert run(*argv, "--out", implicit) == 0
+            assert implicit.read_bytes() == explicit.read_bytes()
+            texts[seed] = implicit.read_bytes()
+        assert texts[11] != texts[12]
+
+    def test_the_parser_is_built_once(self, tmp_path, monkeypatch):
+        assert run("bounds", "--which", "borda", "--n", 8, "--k", 3, "--theta", 1,
+                   "--i", 1, "--out", tmp_path / "b.json") == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        out = tmp_path / "s.csv"
+        assert run("sample", "--n", 6, "--k", 2, "--theta", 1, "--count", 5,
+                   "--out", out) == 0
+        assert run("aggregate", "--in", out, "--out", tmp_path / "a.json") == 0
+        assert built == []
 
     def test_uniform_prefix_balance(self, tmp_path):
         out = tmp_path / "u.csv"
@@ -183,6 +209,13 @@ class TestBounds:
         ("separation", "--n", 1, "--c", 3, "--r", 0.5, "--e-gamma", 3),
         ("borda", "--n", 8, "--k", 3, "--theta", "inf", "--i", 1),
         ("borda", "--n", 8, "--k", 3, "--theta", "nan", "--i", 1),
+        ("separation", "--n", 5, "--c", 3, "--r", 1, "--e-gamma", "5e-324"),
+        ("separation", "--n", 5, "--c", 3, "--r", 1, "--e-gamma", 3, "--epsilon", "5e-324"),
+        ("separation", "--n", 10**189, "--c", 3, "--r", 1, "--e-gamma", 3),
+        ("borda", "--n", 8, "--k", 3, "--theta", 1, "--i", 1, "--epsilon", "5e-324"),
+        ("borda", "--n", 10**189, "--k", 3, "--theta", 1, "--i", 1),
+        ("borda", "--n", 10**400, "--k", 3, "--theta", 1, "--i", 1),
+        ("separation", "--n", 10**400, "--c", 3, "--r", 1, "--e-gamma", 3),
     ])
     def test_invalid_bound_argument_exit_2(self, capsys, argv):
         assert run("bounds", "--which", *argv) == 2
@@ -192,9 +225,9 @@ class TestBounds:
 
     @settings(max_examples=300, deadline=None)
     @given(which=st.sampled_from(["borda", "separation"]),
-           n=st.sampled_from([-1, 0, 1, 2, 8]),
-           values=st.lists(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308",
-                                            "0.05", "0.5", "1", "3", "9"]),
+           n=st.sampled_from([-1, 0, 1, 2, 8, 10**189, 10**400]),
+           values=st.lists(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5e-324",
+                                            "1e308", "0.05", "0.5", "1", "3", "9"]),
                            min_size=5, max_size=5))
     def test_any_float_argument_exits_cleanly(self, which, n, values):
         argv = ["bounds", "--which", which, f"--n={n}", "--k=3", "--i=1"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -218,6 +219,31 @@ class TestDelta:
         model = MallowsModel(8, Permutation.identity(8), math.inf)
         assert [model.v_marginal(2, r) for r in range(7)] == [1.0] + [0.0] * 6
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.01, 1.0, 700.0, math.inf])
+    @pytest.mark.parametrize("n", [9, 50, 300])
+    def test_reads_only_the_first_k_terms_of_each_law(self, n, theta):
+        # the same sums over the full n-long laws, as MallowsModel gives them
+        model = MallowsModel(n, Permutation.identity(n), theta)
+        c1 = list(itertools.accumulate(model.v_marginal(1, r) for r in range(n)))
+        p2 = [model.v_marginal(2, r) for r in range(n - 1)]
+        for k in (1, 2, 5, n - 1):
+            second = 0.0
+            for r2 in range(min(k - 1, n - 1)):
+                second += p2[r2] * c1[r2]
+            for r2 in range(min(k, n - 1)):
+                second += p2[r2] * (1.0 - c1[r2])
+            assert delta_1k(n, k, theta) == c1[k - 1] - second
+
+    def test_cost_is_independent_of_n(self):
+        tracemalloc.start()
+        try:
+            value = delta_1k(10**6, 3, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10  # an n-long law alone would take megabytes
+        assert value == pytest.approx(delta_1k(10**300, 3, 1.0), abs=1e-15)
+
     def test_argmin_at_first_pair(self):
         # for k >= n/2 the smallest gap is at i = 1
         for n in (5, 6):
@@ -268,6 +294,14 @@ class TestSampleComplexity:
     def test_vacuous_bound(self):
         with pytest.raises(VacuousBoundError):
             borda_sample_complexity(8, 2, 0.5, 5, 0.05)
+
+    @pytest.mark.parametrize("n", [10**189, 10**400])
+    def test_n_beyond_the_float_range_is_invalid(self, n):
+        with pytest.raises(ValidationError):
+            borda_sample_complexity(n, 3, 1.0, 1, 0.05)
+        if n > 1e308:
+            with pytest.raises(ValidationError):
+                delta_1k(n, 3, 1.0)
 
 
 class TestEmpiricalPairAccuracy:

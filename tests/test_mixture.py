@@ -165,6 +165,8 @@ class TestSeparate:
         lines = result.to_csv().splitlines()
         assert lines[0] == "index,delta,label"
         assert len(lines) == 21
+        assert lines[1:] == [f"{i},{d:.10g},{'expert' if f else 'nonexpert'}"
+                             for i, (d, f) in enumerate(zip(result.deltas, result.expert_flags))]
         payload = result.to_json_dict()
         assert set(payload) >= {"threshold", "theta_g_hat", "theta_b_hat",
                                 "r_hat", "degenerate", "consensus"}

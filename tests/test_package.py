@@ -1,7 +1,11 @@
-"""Guards on the package as a whole: its exports, and where enumeration lives."""
+"""Guards on the package as a whole: its exports, where enumeration lives,
+and what importing the CLI costs."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import mallows_topk
 
@@ -35,3 +39,18 @@ def test_only_the_oracle_enumerates_permutations():
                  and _uses_permutations(ast.parse(path.read_text(encoding="utf-8")))]
     assert offenders == []
     assert _uses_permutations(ast.parse((PACKAGE_DIR / "oracle.py").read_text()))
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first main() call, so import time does not pay for it
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)\n"
+            "import mallows_topk.cli\n"
+            "print(len(built))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mallows_topk.errors import DimensionError, ValidationError
-from mallows_topk.rankings import (InversionVector, Permutation,
+from mallows_topk.rankings import (_BLOCK, InversionVector, Permutation,
                                    RankingBatch, TopKRanking,
                                    format_rankings_csv, from_inversion_vector,
                                    invert_topk, kendall_full, kendall_topk,
@@ -377,3 +377,89 @@ class TestRankingBatch:
     def test_parse_agrees_with_the_row_by_row_reader(self, n, rows):
         text = "\n".join([f"# n={n}"] + rows) + "\n"
         assert _outcome(parse_rankings_csv, text) == _outcome(_reference_parse, text)
+
+
+MAX_N = 2**31 - 1
+
+
+def _reference_format(batch):
+    """The row-by-row CSV writer: one str() per id and one join per row."""
+    rows = [f"# n={batch.n}"] + [",".join(str(i + 1) for i in r.items) for r in batch]
+    return "\n".join(rows) + "\n"
+
+
+@st.composite
+def random_batches(draw):
+    """A batch of up to three blocks of rows, k mixed, n from 1 to 2^31 - 1."""
+    n = draw(st.sampled_from([1, 2, 5, 30, 1000, MAX_N]) | st.integers(1, MAX_N))
+    m = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1]) | st.integers(1, 3 * _BLOCK))
+    k_max = draw(st.integers(1, min(n, 12)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    items = np.array([gen.choice(n, k_max, replace=False) for _ in range(m)])
+    ks = gen.integers(1, k_max + 1, m)
+    return RankingBatch(n, np.where(np.arange(k_max) < ks[:, None], items, -1), ks)
+
+
+def _full_batch(n, m):
+    gen = np.random.default_rng(n)
+    return RankingBatch(n, [gen.permutation(n) for _ in range(m)], [n] * m)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+SPELLINGS = [str, lambda v: f" {v}", lambda v: f"+{v}", lambda v: f"0{v}",
+             lambda v: f"{v} ", lambda v: "_".join(str(v)),
+             lambda v: str(v).translate({ord("0") + d: 0x660 + d for d in range(10)})]
+
+
+class TestCsvText:
+    @settings(max_examples=40, deadline=None)
+    @given(random_batches())
+    @example(RankingBatch(1, [[0]], [1]))
+    @example(_full_batch(1, _BLOCK + 1))
+    @example(_full_batch(7, 2 * _BLOCK + 3))
+    @example(RankingBatch(MAX_N, [[MAX_N - 1, 0, 9], [5, MAX_N - 1, -1], [MAX_N - 2, -1, -1]],
+                          [3, 2, 1]))
+    def test_format_equals_the_row_by_row_writer(self, batch):
+        text = format_rankings_csv(batch)
+        assert text == _reference_format(batch)
+        assert parse_rankings_csv(text) == batch
+
+    def test_format_memory_is_bounded_by_the_rows(self):
+        wide = RankingBatch(MAX_N, [[MAX_N - 1, 0, 9], [5, MAX_N - 1, -1], [1, -1, -1]],
+                            [3, 2, 1])
+        assert _peak_bytes(format_rankings_csv, wide) < 64 * 2**10
+        gen = np.random.default_rng(5)
+        bulk = RankingBatch(30, np.argsort(gen.random((100_000, 30)), axis=1)[:, :10],
+                            [10] * 100_000)
+        # the row-by-row writer peaked at 22.4 MB here
+        assert _peak_bytes(format_rankings_csv, bulk) < 22 * 2**20
+
+    def test_memory_stays_bounded_when_ids_do_not_repeat(self):
+        # 200k distinct ids: no table or cache may grow with the file
+        gen = np.random.default_rng(6)
+        batch = RankingBatch(MAX_N, gen.choice(MAX_N, (20_000, 10), replace=False),
+                             [10] * 20_000)
+        text = format_rankings_csv(batch)
+        # the row-by-row writer peaked at 6.0x its text here, a file-wide table at 19x
+        assert _peak_bytes(format_rankings_csv, batch) < 3 * len(text)
+        # map(int) peaks at 46 bytes per id here, a file-wide token cache at 138
+        assert _peak_bytes(parse_rankings_csv, text) < 64 * 200_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(1, 12), st.sampled_from(SPELLINGS)),
+                             min_size=1, max_size=12, unique_by=lambda t: t[0]),
+                    min_size=2, max_size=40))
+    def test_parse_reads_every_spelling_as_int_does(self, rows):
+        lines = [",".join(spell(v) for v, spell in row) for row in rows]
+        lines += lines[::-1]  # every spelling appears again in a later row
+        text = "\n".join(["# n=12"] + lines) + "\n"
+        ids = [[int(tok) - 1 for tok in ln.split(",")] for ln in lines]
+        assert parse_rankings_csv(text) == [TopKRanking(12, len(r), tuple(r)) for r in ids]
