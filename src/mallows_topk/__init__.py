@@ -7,7 +7,7 @@ estimation, theoretical sample bounds, and a brute-force oracle for small n.
 
 from .errors import (DimensionError, SizeError, ValidationError,
                      VacuousBoundError)
-from .estimation import (ConsensusEstimate, DeltaTable, ThetaEstimate, borda,
+from .estimation import (ConsensusEstimate, ThetaEstimate, borda,
                          borda_estimate, borda_sample_complexity, delta_1k,
                          eborda, empirical_pair_accuracy, estimate_theta_mle,
                          partial_estimate_error)
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionError", "SizeError", "ValidationError", "VacuousBoundError",
-    "ConsensusEstimate", "DeltaTable", "ThetaEstimate", "borda",
+    "ConsensusEstimate", "ThetaEstimate", "borda",
     "borda_estimate", "borda_sample_complexity", "delta_1k",
     "delta_ik_oracle", "eborda", "empirical_pair_accuracy",
     "estimate_theta_mle", "partial_estimate_error",

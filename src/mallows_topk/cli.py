@@ -17,7 +17,7 @@ from . import estimation, mixture
 from .errors import ValidationError, VacuousBoundError
 from .model import (MallowsModel, RandomSource, log_likelihood, sample_topk,
                     theta_for_expected_distance, uniform_limit_distance)
-from .rankings import (Permutation, TopKRanking, format_rankings_csv,
+from .rankings import (_MAX_N, Permutation, TopKRanking, format_rankings_csv,
                        read_rankings_csv)
 
 DEFAULT_SEED_ENV = "MALLOWS_TOPK_SEED"
@@ -56,6 +56,8 @@ def _read_sigma0(path: Optional[str], n: int) -> Permutation:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.n > _MAX_N:  # the ids are int32; nothing of size n is built first
+        raise ValidationError(f"n must be at most {_MAX_N}")
     sigma0 = _read_sigma0(args.sigma0, args.n)
     model = MallowsModel(args.n, sigma0, args.theta)
     rng = RandomSource(args.seed)
@@ -137,7 +139,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"grid values must be numbers: {exc}") from None
 
 
 def run_separation_experiment(n: int, k: int, m_g: int, m_b: int,
@@ -244,7 +249,7 @@ def run_loglik_experiment(n: int, theta: float, m: int, seeds: int,
         for t in range(0, 2 * m + 1, step):
             sample = base + impostors[:t]
             consensus = estimation.borda(sample)
-            theta_hat = estimation.estimate_theta_mle(sample, consensus, n)
+            theta_hat = estimation.estimate_theta_mle(sample, consensus)
             single = MallowsModel(n, consensus, theta_hat)
             single_ll = log_likelihood(single, sample)
             mix = mixture.fit_mixture(sample)

@@ -5,17 +5,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import mixture
 from .errors import ValidationError, VacuousBoundError
-from .model import (MallowsModel, RandomSource, THETA_CAP, log_psi_factor,
-                    sample_topk, theta_for_expected_distance,
-                    uniform_limit_distance)
-from .oracle import delta_ik_oracle
+from .model import (MallowsModel, RandomSource, THETA_CAP, _solve_theta,
+                    log_psi_factor, sample_topk)
 from .rankings import (Permutation, RankingLike, TopKRanking, _as_batch,
                        _distances_to_full, kendall_topk)
 
@@ -107,7 +105,7 @@ def borda_estimate(sample: Sequence[TopKRanking]) -> ConsensusEstimate:
     completion = Permutation.from_items(ranked + unranked)
     ranking: RankingLike = (completion if k_prime == n
                             else TopKRanking(n, k_prime, tuple(ranked)))
-    theta = estimate_theta_mle(sample, completion, int(sample.ks.max()))
+    theta = estimate_theta_mle(sample, completion)
     return ConsensusEstimate(ranking, k_prime, tuple(counts), completion,
                              "borda", theta)
 
@@ -139,7 +137,7 @@ def eborda(sample: Sequence[TopKRanking], method: str = "gap") -> ConsensusEstim
     expert_ranked = {item for item, c in enumerate(expert_counts) if c > 0}
     expert_order = borda(experts).items_by_rank()
     prefix = [item for item in expert_order if item in expert_ranked]
-    whole_order = borda(sample).items_by_rank()
+    whole_order = result.consensus.items_by_rank()
     middle = [item for item in whole_order
               if item not in expert_ranked and all_counts[item] > 0]
     unranked = [item for item in range(n)
@@ -180,21 +178,28 @@ class ThetaEstimate(NamedTuple):
     clamped: Optional[str]  # None | "point-mass" | "uniform"
 
 
-def estimate_theta_mle(sample: Sequence[TopKRanking], sigma0: Permutation,
-                       k: int, detail: bool = False):
-    """Moment-matching MLE: the distance is the model's sufficient statistic,
-    so matching its mean maximizes the likelihood.  Bisection on [1e-9, 50];
-    degenerate samples clamp to the cap (all at sigma0) or to 0 (uniform)."""
+def estimate_theta_mle(sample: Sequence[TopKRanking], sigma0: Permutation, *,
+                       detail: bool = False):
+    """The MLE of theta: the root of the score equation sum_s d_s =
+    sum_s E_{k_s}[D](theta) over the sample's own row lengths k_s.  E_k[D] sums
+    E[V_j] over j <= k (Fligner & Verducci 1986), so the mean distance is
+    matched by sum_j W_j E[V_j], W_j the share of rows that list a j-th item.
+    Degenerate samples clamp to the cap (all at sigma0) or to 0 (uniform)."""
     if not sample:
         raise ValidationError("sample must be non-empty")
-    d = _distances_to_full(sample, sigma0)
-    mean_d = int(d.sum()) / len(sample)
+    batch = _as_batch(sample, sigma0.n)
+    m = len(batch)
+    mean_d = int(_distances_to_full(batch, sigma0).sum()) / m
+    terms, listed = [], m  # listed = #{s : k_s >= j}
+    for j, count in enumerate(np.bincount(batch.ks).tolist()[1:], 1):
+        terms.append((listed / m, sigma0.n - j + 1))
+        listed -= count
     if mean_d <= 0:
         est = ThetaEstimate(THETA_CAP, "point-mass")
-    elif mean_d >= uniform_limit_distance(sigma0.n, k):
+    elif mean_d >= sum(w * (support - 1) for w, support in terms) / 2:
         est = ThetaEstimate(0.0, "uniform")
     else:
-        est = ThetaEstimate(theta_for_expected_distance(sigma0.n, k, mean_d), None)
+        est = ThetaEstimate(_solve_theta(terms, mean_d), None)
     return est if detail else est.theta
 
 
@@ -237,26 +242,6 @@ def delta_1k(n: int, k: int, theta: float) -> float:
     for r2 in range(min(k, n - 1)):
         second += p2[r2] * (1.0 - c1[r2])  # V_1 > V_2: item 2 lands at V_2 + 1
     return first - second
-
-
-@dataclass
-class DeltaTable:
-    """All gaps Delta^{ik}, i = 1..n-1, for one (n, k, theta)."""
-
-    n: int
-    k: int
-    theta: float
-    values: tuple = field(init=False)
-    exact: bool = field(init=False, default=True)
-
-    def __post_init__(self):
-        self.values = tuple(delta_ik_oracle(self.n, self.k, i, self.theta)
-                            for i in range(1, self.n))
-
-    def value(self, i: int) -> float:
-        if not 1 <= i <= self.n - 1:
-            raise ValidationError("i must satisfy 1 <= i <= n-1")
-        return self.values[i - 1]
 
 
 # ---------------------------------------------------------------------------

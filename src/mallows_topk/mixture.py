@@ -190,9 +190,8 @@ def separate(sample: Sequence[TopKRanking], method: str = "2means") -> Separatio
     m = len(sample)
     deltas = mean_distances(sample)
     consensus = estimation.borda(sample)
-    k = int(sample.ks.max())
     if np.ptp(deltas) == 0:
-        theta = estimation.estimate_theta_mle(sample, consensus, k)
+        theta = estimation.estimate_theta_mle(sample, consensus)
         return SeparationResult(deltas, (True,) * m, None, theta, theta, 1.0,
                                 consensus, degenerate=True)
     order = np.sort(deltas)
@@ -203,8 +202,8 @@ def separate(sample: Sequence[TopKRanking], method: str = "2means") -> Separatio
     threshold = 0.5 * (order[split - 1] + order[split])
     expert = deltas <= threshold
     experts, others = sample[expert], sample[~expert]
-    theta_g = estimation.estimate_theta_mle(experts, consensus, k) if experts else 0.0
-    theta_b = estimation.estimate_theta_mle(others, consensus, k) if others else 0.0
+    theta_g = estimation.estimate_theta_mle(experts, consensus) if experts else 0.0
+    theta_b = estimation.estimate_theta_mle(others, consensus) if others else 0.0
     r_hat = len(experts) / m
     return SeparationResult(deltas, tuple(expert.tolist()), float(threshold), theta_g,
                             theta_b, r_hat, consensus)
@@ -278,7 +277,7 @@ def fit_mixture(sample: Sequence[TopKRanking], method: str = "2means") -> Concen
     sample = _as_batch(sample)
     result = separate(sample, method=method)
     consensus = result.consensus
-    single_theta = estimation.estimate_theta_mle(sample, consensus, int(sample.ks.max()))
+    single_theta = estimation.estimate_theta_mle(sample, consensus)
     single = ConcentricMixture(consensus, single_theta, single_theta, 1.0)
     if result.degenerate or result.r_hat in (0.0, 1.0):
         return single

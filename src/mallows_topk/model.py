@@ -192,6 +192,32 @@ def sample_linear_extension(model: MallowsModel, sigma: TopKRanking,
 # ---------------------------------------------------------------------------
 
 
+def _mean_distance(terms: Sequence[tuple], theta: float) -> float:
+    """sum_j w_j E[V_j] over the (w_j, n - j + 1) terms of positions j, for
+    theta > 0; weight 1.0 for j = 1..k gives E[D] of a top-k draw."""
+    total, head = 0.0, _inv_expm1(theta)
+    for w, support in terms:
+        total += w * (head - support * _inv_expm1(theta * support))
+    return total
+
+
+def _solve_theta(terms: Sequence[tuple], target: float) -> float:
+    """Invert the strictly decreasing theta -> _mean_distance map by bisection
+    on [1e-9, THETA_CAP]; a target outside its range clamps to an end."""
+    lo, hi = 1e-9, THETA_CAP
+    if _mean_distance(terms, lo) <= target:
+        return 0.0
+    if _mean_distance(terms, hi) >= target:
+        return hi
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if _mean_distance(terms, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def expected_topk_distance(n: int, k: int, theta: float) -> float:
     """E[D] = sum_{j=1}^{k} E[V_j]; theta = 0 gives the uniform limit k(2n-k-1)/4."""
     if theta < 0:
@@ -200,11 +226,7 @@ def expected_topk_distance(n: int, k: int, theta: float) -> float:
         raise ValidationError("k must satisfy 1 <= k <= n")
     if theta == 0.0:
         return uniform_limit_distance(n, k)
-    total, head = 0.0, _inv_expm1(theta)
-    for j in range(1, k + 1):
-        support = n - j + 1
-        total += head - support * _inv_expm1(theta * support)
-    return total
+    return _mean_distance([(1.0, n - j + 1) for j in range(1, k + 1)], theta)
 
 
 def variance_topk_distance(n: int, k: int, theta: float) -> float:
@@ -226,25 +248,12 @@ def uniform_limit_distance(n: int, k: int) -> float:
     return k * (2 * n - k - 1) / 4.0
 
 
-def theta_for_expected_distance(n: int, k: int, target: float,
-                                lo: float = 1e-9, hi: float = THETA_CAP,
-                                tol: float = 1e-9) -> float:
-    """Invert the strictly decreasing theta -> E[D] map by bisection."""
+def theta_for_expected_distance(n: int, k: int, target: float) -> float:
+    """The theta at which a top-k draw has mean distance `target`."""
     limit = uniform_limit_distance(n, k)
     if not 0 < target <= limit:
         raise ValidationError(f"target must lie in (0, {limit}]")
-    if expected_topk_distance(n, k, lo) <= target:
-        return 0.0
-    if expected_topk_distance(n, k, hi) >= target:
-        return hi
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if expected_topk_distance(n, k, mid) > target:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return _solve_theta([(1.0, n - j + 1) for j in range(1, k + 1)], target)
 
 
 # ---------------------------------------------------------------------------

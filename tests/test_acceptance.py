@@ -15,8 +15,7 @@ from mallows_topk.cli import (main, run_eborda_experiment,
                               run_loglik_experiment,
                               run_separation_experiment)
 from mallows_topk.estimation import (borda_sample_complexity, delta_1k,
-                                     delta_ik_oracle, eborda,
-                                     empirical_pair_accuracy,
+                                     eborda, empirical_pair_accuracy,
                                      estimate_theta_mle,
                                      partial_estimate_error, borda_estimate)
 from mallows_topk.mixture import separation_gap
@@ -25,8 +24,8 @@ from mallows_topk.model import (MallowsModel, RandomSource,
                                 sample_linear_extension,
                                 theta_for_expected_distance,
                                 variance_topk_distance)
-from mallows_topk.oracle import (ExhaustiveTable, exact_expectations,
-                                 exact_topk_distribution)
+from mallows_topk.oracle import (ExhaustiveTable, delta_ik_oracle,
+                                 exact_expectations, exact_topk_distribution)
 from mallows_topk.rankings import (Permutation, TopKRanking,
                                    write_rankings_csv)
 
@@ -206,7 +205,7 @@ def test_criterion_09_theta_recovery():
     for seed_offset, theta in enumerate((0.3, 1.43, 3.0)):
         model = MallowsModel(n, sigma0, theta)
         sample = sample_topk(model, k, draws, RandomSource(40 + seed_offset))
-        hat = estimate_theta_mle(sample, sigma0, k)
+        hat = estimate_theta_mle(sample, sigma0)
         assert abs(hat - theta) / theta <= 0.07, (theta, hat)
     print("criterion 9 (dispersion recovery): PASS")
 

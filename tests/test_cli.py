@@ -5,10 +5,12 @@ import io
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mallows_topk import cli
 from mallows_topk.cli import main
 from mallows_topk.model import MallowsModel, RandomSource, sample_topk
 from mallows_topk.rankings import (Permutation, TopKRanking,
@@ -72,6 +74,17 @@ class TestSample:
         assert run("sample", "--n", 5, "--k", 2, "--theta", 30, "--count", 5,
                    "--sigma0", cons, "--seed", 0, "--out", out) == 0
         assert all(r.items == (4, 3) for r in read_rankings_csv(out))
+
+    def test_n_beyond_the_id_range_exit_2(self, tmp_path, capsys, monkeypatch):
+        # n is checked before anything of size n is built
+        def identity(n):
+            raise AssertionError(f"Permutation.identity({n}) was called")
+        monkeypatch.setattr(cli.Permutation, "identity", identity)
+        out = tmp_path / "s.csv"
+        assert run("sample", "--n", 3000000000, "--k", 1, "--theta", 1,
+                   "--count", 1, "--out", out) == 2
+        assert capsys.readouterr().err == "error: n must be at most 2147483647\n"
+        assert not out.exists()
 
     def test_invalid_flags_exit_2(self, tmp_path):
         assert run("sample", "--n", 4, "--k", 9, "--theta", 1,
@@ -149,6 +162,20 @@ class TestAggregate:
         assert b["ranking"] == e["ranking"]
         assert e["fallback"]
         assert e["expert_indices"] == list(range(6))
+
+    def test_borda_theta_hat_on_mixed_lengths(self, tmp_path, capsys):
+        # 4000 rows with k in 1..15: theta_hat fits every row at its own length
+        n, theta = 50, 0.3
+        model = MallowsModel(n, Permutation.from_items(
+            np.random.default_rng(8).permutation(n).tolist()), theta)
+        counts = np.bincount(np.random.default_rng(9).integers(1, 16, 4000))
+        batch = sample_topk(model, 1, int(counts[1]), RandomSource(1))
+        for k in range(2, 16):
+            batch = batch + sample_topk(model, k, int(counts[k]), RandomSource(k))
+        src = tmp_path / "mixed.csv"
+        write_rankings_csv(src, batch)
+        assert run("aggregate", "--in", src, "--method", "borda") == 0
+        assert abs(json.loads(capsys.readouterr().out)["theta_hat"] - theta) <= 0.02
 
     def test_parse_failure_exit_2(self, tmp_path):
         src = tmp_path / "bad.csv"
@@ -285,6 +312,8 @@ class TestExperiments:
         ("--name", "loglik", "--step", 0),
         ("--name", "loglik", "--step", -1),
         ("--name", "eborda", "--seeds", -2),
+        ("--name", "separation", "--seeds", 1, "--e-gamma-grid", "x", "--c-grid", 3),
+        ("--name", "separation", "--seeds", 1, "--e-gamma-grid", 3, "--c-grid", "3,y"),
     ])
     def test_non_positive_seeds_or_step_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"

@@ -2,21 +2,26 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mallows_topk.errors import (SizeError, ValidationError,
                                  VacuousBoundError)
-from mallows_topk.estimation import (ConsensusEstimate, DeltaTable, borda,
+from mallows_topk.estimation import (ConsensusEstimate, ThetaEstimate, borda,
                                      borda_estimate, borda_sample_complexity,
-                                     delta_1k, delta_ik_oracle, eborda,
+                                     delta_1k, eborda,
                                      empirical_pair_accuracy,
                                      estimate_theta_mle,
                                      partial_estimate_error)
 from mallows_topk.model import (THETA_CAP, MallowsModel, RandomSource,
                                 expected_topk_distance, log_likelihood,
-                                sample_topk, theta_for_expected_distance)
-from mallows_topk.oracle import exhaustive_kemeny
-from mallows_topk.rankings import Permutation, TopKRanking, kendall_full
+                                _inv_expm1, sample_topk,
+                                theta_for_expected_distance)
+from mallows_topk.oracle import delta_ik_oracle, exhaustive_kemeny
+from mallows_topk.rankings import (Permutation, TopKRanking, kendall_full,
+                                   kendall_topk)
 
 
 class TestBorda:
@@ -170,12 +175,12 @@ class TestThetaMle:
         n, k, theta = 5, 5, 1.43
         model = MallowsModel(n, Permutation.identity(n), theta)
         sample = sample_topk(model, k, 100000, RandomSource(2))
-        hat = estimate_theta_mle(sample, model.sigma0, k)
+        hat = estimate_theta_mle(sample, model.sigma0)
         assert 1.33 <= hat <= 1.53
 
     def test_point_mass_clamps_to_cap(self):
         sample = [TopKRanking(5, 3, (0, 1, 2))] * 4
-        est = estimate_theta_mle(sample, Permutation.identity(5), 3, detail=True)
+        est = estimate_theta_mle(sample, Permutation.identity(5), detail=True)
         assert est.theta == THETA_CAP and est.clamped == "point-mass"
 
     def test_uniform_boundary_clamps_to_zero(self):
@@ -184,16 +189,97 @@ class TestThetaMle:
         a = TopKRanking(n, k, (3, 2))  # distance 5
         b = TopKRanking(n, k, (0, 1))  # distance 0
         sample = [a, b]  # mean 2.5 = k(2n-k-1)/4
-        est = estimate_theta_mle(sample, Permutation.identity(n), k, detail=True)
+        est = estimate_theta_mle(sample, Permutation.identity(n), detail=True)
         assert est.theta == 0.0 and est.clamped == "uniform"
 
     def test_is_likelihood_stationary_point(self):
         model = MallowsModel(6, Permutation.identity(6), 0.8)
         sample = sample_topk(model, 4, 2000, RandomSource(3))
-        hat = estimate_theta_mle(sample, model.sigma0, 4)
+        hat = estimate_theta_mle(sample, model.sigma0)
         ll = lambda t: log_likelihood(MallowsModel(6, model.sigma0, t), sample)
         assert ll(hat) >= ll(hat + 0.05)
         assert ll(hat) >= ll(hat - 0.05)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 12), k=st.integers(1, 12),
+           theta=st.floats(0.0, 5.0) | st.just(60.0), m=st.integers(1, 40),
+           seed=st.integers(0, 2**16))
+    @example(n=12, k=1, theta=0.7, m=25, seed=1)
+    @example(n=12, k=12, theta=0.7, m=25, seed=2)
+    @example(n=7, k=3, theta=0.0, m=3, seed=3)
+    @example(n=7, k=3, theta=60.0, m=3, seed=4)
+    def test_single_k_is_bitwise_the_fit_at_that_k(self, n, k, theta, m, seed):
+        k = min(k, n)
+        sigma0 = Permutation.from_items(np.random.default_rng(seed).permutation(n).tolist())
+        sample = sample_topk(MallowsModel(n, sigma0, theta), k, m, RandomSource(seed))
+        est = estimate_theta_mle(sample, sigma0, detail=True)
+        expected = _single_k_fit(sample, sigma0, k)
+        assert (est.theta.hex(), est.clamped) == (expected.theta.hex(), expected.clamped)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 12), ks=st.sets(st.integers(1, 12), min_size=2, max_size=4),
+           theta=st.floats(0.1, 2.0), m=st.integers(5, 40), seed=st.integers(0, 2**16))
+    def test_mixed_k_is_a_stationary_point_of_the_likelihood(self, n, ks, theta, m, seed):
+        sigma0 = Permutation.identity(n)
+        model = MallowsModel(n, sigma0, theta)
+        rng = RandomSource(seed)
+        sample = [r for i, k in enumerate(sorted({min(k, n) for k in ks}))
+                  for r in sample_topk(model, k, m, rng.split(i))]
+        est = estimate_theta_mle(sample, sigma0, detail=True)
+        if est.clamped is not None or est.theta in (0.0, THETA_CAP):
+            return
+        # log_likelihood normalizes through log_psi_total, not through the solver
+        ll = lambda t: log_likelihood(MallowsModel(n, sigma0, t), sample)
+        at_hat = ll(est.theta)
+        tol = 1e-12 * (1 + abs(at_hat))
+        assert at_hat >= ll(est.theta + 1e-3) - tol
+        if est.theta >= 1e-3:
+            assert at_hat >= ll(est.theta - 1e-3) - tol
+
+    def test_mixed_lengths_recovery(self):
+        # 5k draws at k=2 and 5k at k=10: E_10[D] alone would give about 0.73
+        n, theta = 30, 0.5
+        model = MallowsModel(n, Permutation.identity(n), theta)
+        sample = (sample_topk(model, 2, 5000, RandomSource(21))
+                  + sample_topk(model, 10, 5000, RandomSource(22)))
+        assert abs(estimate_theta_mle(sample, model.sigma0) - theta) <= 0.02
+
+    def test_detail_is_keyword_only(self):
+        # the row lengths come from the sample; detail can only be named
+        sample = [TopKRanking(5, 3, (0, 2, 1))]
+        with pytest.raises(TypeError):
+            estimate_theta_mle(sample, Permutation.identity(5), 3)
+
+
+def _single_k_fit(sample, sigma0, k):
+    """The MLE of a sample whose rows all list k items, written out: the
+    clamps, then bisection on E_k[D] over [1e-9, THETA_CAP]."""
+    n = sigma0.n
+
+    def mean(theta):
+        total, head = 0.0, _inv_expm1(theta)
+        for j in range(1, k + 1):
+            support = n - j + 1
+            total += head - support * _inv_expm1(theta * support)
+        return total
+
+    mean_d = sum(kendall_topk(s, sigma0) for s in sample) / len(sample)
+    if mean_d <= 0:
+        return ThetaEstimate(THETA_CAP, "point-mass")
+    if mean_d >= k * (2 * n - k - 1) / 4.0:
+        return ThetaEstimate(0.0, "uniform")
+    a, b = 1e-9, THETA_CAP
+    if mean(a) <= mean_d:
+        return ThetaEstimate(0.0, None)
+    if mean(b) >= mean_d:
+        return ThetaEstimate(b, None)
+    while b - a > 1e-9:
+        mid = 0.5 * (a + b)
+        if mean(mid) > mean_d:
+            a = mid
+        else:
+            b = mid
+    return ThetaEstimate(0.5 * (a + b), None)
 
 
 THETA_GRID = [0.1, 0.5, 1.0, 2.0]
@@ -268,12 +354,6 @@ class TestDelta:
     def test_oracle_size_limit(self):
         with pytest.raises(SizeError):
             delta_ik_oracle(9, 3, 1, 1.0)
-
-    def test_table(self):
-        table = DeltaTable(5, 2, 1.0)
-        assert len(table.values) == 4
-        assert table.value(1) == pytest.approx(delta_ik_oracle(5, 2, 1, 1.0))
-        assert all(-1 <= v <= 1 for v in table.values)
 
 
 class TestSampleComplexity:

@@ -156,9 +156,8 @@ def test_every_kernel_and_estimator_agrees_on_a_batch_and_a_list(case, theta):
     assert _borda_scores(batch).tobytes() == _borda_scores(sample).tobytes()
     assert _vote_counts(batch) == _vote_counts(sample)
     assert borda(batch) == borda(sample)
-    k = max(s.k for s in sample)
-    assert estimate_theta_mle(batch, sigma0, k, detail=True) \
-        == estimate_theta_mle(sample, sigma0, k, detail=True)
+    assert estimate_theta_mle(batch, sigma0, detail=True) \
+        == estimate_theta_mle(sample, sigma0, detail=True)
     model = MallowsModel(sigma0.n, sigma0, theta)
     assert log_likelihood(model, batch) == log_likelihood(model, sample)
     mix = ConcentricMixture(sigma0, theta, theta / 2, 0.3)

@@ -260,7 +260,7 @@ class TestFitMixture:
         fitted = fit_mixture(sample)
         from mallows_topk.estimation import borda, estimate_theta_mle
         consensus = borda(sample)
-        theta = estimate_theta_mle(sample, consensus, 6)
+        theta = estimate_theta_mle(sample, consensus)
         single_ll = log_likelihood(MallowsModel(6, consensus, theta), sample)
         assert mixture_log_likelihood(fitted, sample) >= single_ll - 1e-9
 

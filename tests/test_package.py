@@ -41,6 +41,30 @@ def test_only_the_oracle_enumerates_permutations():
     assert _uses_permutations(ast.parse((PACKAGE_DIR / "oracle.py").read_text()))
 
 
+def _imports_the_oracle(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "mallows_topk.oracle" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "oracle":
+                return True
+            if (module in ("", "mallows_topk")
+                    and any(alias.name == "oracle" for alias in node.names)):
+                return True
+    return False
+
+
+def test_no_library_module_imports_the_oracle():
+    # the oracle is the tests' ground truth; the package only re-exports it
+    offenders = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if path.name != "__init__.py"
+                 and _imports_the_oracle(ast.parse(path.read_text(encoding="utf-8")))]
+    assert offenders == []
+    assert _imports_the_oracle(ast.parse((PACKAGE_DIR / "__init__.py").read_text()))
+
+
 def test_importing_the_cli_builds_no_parser():
     # the parser is built by the first main() call, so import time does not pay for it
     code = ("import argparse\n"
