@@ -24,12 +24,11 @@ from .model import (THETA_CAP, MallowsModel, RandomSource,
 from .oracle import (MAX_EXHAUSTIVE_N, ExhaustiveTable, MixtureExpectations,
                      delta_ik_oracle, enumerate_topk, exact_expectations,
                      exact_topk_distribution, exhaustive_kemeny,
-                     pairwise_distance_matrix)
-from .rankings import (InversionVector, Permutation, RankingBatch,
-                       TopKRanking, format_rankings_csv,
-                       from_inversion_vector, invert_topk, kendall_full,
-                       kendall_topk, parse_rankings_csv, read_rankings_csv,
-                       to_inversion_vector, write_rankings_csv)
+                     pairwise_distance_matrix, topk_distance_oracle)
+from .rankings import (Permutation, RankingBatch, TopKRanking,
+                       format_rankings_csv, kendall_full, kendall_topk,
+                       parse_rankings_csv, read_rankings_csv,
+                       write_rankings_csv)
 
 __version__ = "0.1.0"
 
@@ -50,9 +49,8 @@ __all__ = [
     "variance_topk_distance",
     "MAX_EXHAUSTIVE_N", "ExhaustiveTable", "MixtureExpectations",
     "enumerate_topk", "exact_expectations", "exact_topk_distribution",
-    "exhaustive_kemeny", "pairwise_distance_matrix",
-    "InversionVector", "Permutation", "RankingBatch", "TopKRanking",
-    "format_rankings_csv", "from_inversion_vector", "invert_topk",
+    "exhaustive_kemeny", "pairwise_distance_matrix", "topk_distance_oracle",
+    "Permutation", "RankingBatch", "TopKRanking", "format_rankings_csv",
     "kendall_full", "kendall_topk", "parse_rankings_csv",
-    "read_rankings_csv", "to_inversion_vector", "write_rankings_csv",
+    "read_rankings_csv", "write_rankings_csv",
 ]

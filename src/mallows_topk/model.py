@@ -114,7 +114,7 @@ class MallowsModel:
         return math.exp(log_p)
 
     def distance_to_consensus(self, sigma: TopKRanking) -> int:
-        return int(_distances_to_full([sigma], self.sigma0)[0])
+        return kendall_topk(sigma, self.sigma0)
 
     def log_topk_probability(self, sigma: TopKRanking) -> float:
         d = self.distance_to_consensus(sigma)
@@ -250,6 +250,8 @@ def uniform_limit_distance(n: int, k: int) -> float:
 
 def theta_for_expected_distance(n: int, k: int, target: float) -> float:
     """The theta at which a top-k draw has mean distance `target`."""
+    if not 1 <= k <= n:
+        raise ValidationError("k must satisfy 1 <= k <= n")
     limit = uniform_limit_distance(n, k)
     if not 0 < target <= limit:
         raise ValidationError(f"target must lie in (0, {limit}]")

@@ -1,8 +1,9 @@
 """Exhaustive ground truth for small n.
 
 Everything here is computed by direct enumeration of permutations and pair
-counting, deliberately avoiding the closed forms and the inversion-vector
-machinery used elsewhere, so it can serve as an independent check.
+counting, deliberately avoiding the closed forms and the distance kernels
+used elsewhere, so it can serve as an independent check.  Of `rankings` it
+uses only the two ranking types.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import SizeError, ValidationError
-from .rankings import Permutation, TopKRanking, kendall_topk
+from .errors import DimensionError, SizeError, ValidationError
+from .rankings import Permutation, TopKRanking
 
 MAX_EXHAUSTIVE_N = 8
 
@@ -94,6 +95,23 @@ def _sentinel_rank_matrix(objects: Sequence[tuple], n: int, k: int) -> np.ndarra
     for r in range(k):
         ranks[rows, [o[r] for o in objects]] = r
     return ranks
+
+
+def topk_distance_oracle(sigma, pi) -> int:
+    """Top-k Kendall distance of two rankings of either type, by counting
+    every item pair: a pair adds 1 when both rankings order it strictly and
+    oppositely.  An unlisted item ranks at its list's length.  O(n^2)."""
+    if sigma.n != pi.n:
+        raise DimensionError("mismatched item counts")
+    a, b = (list(r.ranks) if isinstance(r, Permutation)
+            else _sentinel_rank_matrix([r.items], r.n, r.k)[0].tolist()
+            for r in (sigma, pi))
+    count = 0
+    for i in range(sigma.n):
+        for j in range(i + 1, sigma.n):
+            if (a[i] - a[j]) * (b[i] - b[j]) < 0:
+                count += 1
+    return count
 
 
 def pairwise_distance_matrix(objects: Sequence[tuple], n: int, k: int) -> np.ndarray:
@@ -189,7 +207,7 @@ def exhaustive_kemeny(sample: Sequence[TopKRanking]) -> Permutation:
     best_cost = None
     for items in itertools.permutations(range(n)):
         candidate = Permutation.from_items(items)
-        cost = sum(kendall_topk(candidate, s) for s in sample)
+        cost = sum(topk_distance_oracle(candidate, s) for s in sample)
         if best_cost is None or cost < best_cost:
             best, best_cost = candidate, cost
     return best

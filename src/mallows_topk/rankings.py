@@ -1,4 +1,5 @@
-"""Permutations, top-k rankings, Kendall distances, and the inversion-vector bijection.
+"""Permutations, top-k rankings, the top-k Kendall distance, and the batched
+kernels that serve a whole sample.
 
 Items and ranks are 0-based internally (rank 0 = most preferred).  External
 CSV files use 1-based item ids; the conversion happens only in the CSV
@@ -104,24 +105,6 @@ class TopKRanking:
         if self.k != self.n:
             raise ValidationError("only a full (k = n) ranking converts to a Permutation")
         return Permutation.from_items(self.items)
-
-
-@dataclass(frozen=True)
-class InversionVector:
-    """Per-position discordance counts; v[j] in 0..n-j-1 (0-based j), sum(v) = Kendall distance to identity."""
-
-    n: int
-    k: int
-    v: tuple
-
-    def __post_init__(self):
-        v = tuple(int(x) for x in self.v)
-        if len(v) != self.k or not 1 <= self.k <= self.n:
-            raise ValidationError("v must have length k with 1 <= k <= n")
-        for j, x in enumerate(v):
-            if not 0 <= x <= self.n - j - 1:
-                raise ValidationError(f"v[{j}]={x} outside 0..{self.n - j - 1}")
-        object.__setattr__(self, "v", v)
 
 
 RankingLike = Union[Permutation, TopKRanking]
@@ -243,39 +226,31 @@ def _as_batch(sample, n=None) -> RankingBatch:
     return sample
 
 
-def _as_topk_rank_array(r: RankingLike) -> tuple:
-    """(rank array with sentinel, k) for either ranking type."""
-    if isinstance(r, Permutation):
-        return list(r.ranks), r.n
-    return r.rank_array(), r.k
-
-
 def kendall_full(sigma: Permutation, pi: Permutation) -> int:
     """Kendall's-tau distance: number of discordant item pairs."""
-    if sigma.n != pi.n:
-        raise DimensionError("mismatched item counts")
-    return int(_distances_to_full([sigma.top_k(sigma.n)], pi)[0])
+    return kendall_topk(sigma, pi)
 
 
 def kendall_topk(sigma: RankingLike, pi: RankingLike) -> int:
-    """Kendall's-tau distance for partial rankings.
+    """Kendall's-tau distance for partial rankings (Fagin, Kumar & Sivakumar's
+    K^(0)): the item pairs strictly discordant in both arguments.
 
-    A pair is determined in a top-k ranking when at least one of its items is
-    listed; pairs undetermined in either argument do not add to the distance.
-    With full arguments this coincides with `kendall_full`.
+    An item pi does not list ranks K, pi's list length, so it ties only with
+    another unlisted item.  With c_j pi's rank of sigma's j-th listed item,
+    the distance is sum_j c_j - #{i < j : c_i < c_j}, for any mix of top-k
+    and full arguments; `_distances_to_full` is the same sum for a sample.
+    The count bisects the sorted earlier codes: O(n + k log k) comparisons.
     """
     if sigma.n != pi.n:
         raise DimensionError("mismatched item counts")
-    a, _ = _as_topk_rank_array(sigma)
-    b, _ = _as_topk_rank_array(pi)
-    n = sigma.n
-    count = 0
-    for i in range(n):
-        ai, bi = a[i], b[i]
-        for j in range(i + 1, n):
-            if (ai - a[j]) * (bi - b[j]) < 0:
-                count += 1
-    return count
+    ranks = pi.ranks if isinstance(pi, Permutation) else pi.rank_array()
+    listed = sigma.items_by_rank() if isinstance(sigma, Permutation) else sigma.items
+    earlier, total = [], 0
+    for item in listed:
+        c = ranks[item]
+        total += c - bisect.bisect_left(earlier, c)
+        bisect.insort(earlier, c)
+    return total
 
 
 _BLOCK = 1024  # rows per block: bounds the batched kernels' transient arrays
@@ -318,70 +293,6 @@ def _decode_inversions(v: np.ndarray) -> np.ndarray:
         gaps = np.sort(out[:, :j], axis=1) - np.arange(j)
         out[:, j] = col[:, 0] + (gaps <= col).sum(axis=1)
     return out
-
-
-def to_inversion_vector(r: RankingLike) -> InversionVector:
-    """Discordance counts of a ranking relative to the identity.
-
-    With c the ranks of items 0..n-1 (Permutation) or the listed item ids
-    (TopKRanking), v_j = c_j - #{i < j : c_i < c_j}: the values below c_j
-    not taken by an earlier position.  A Permutation drops the last count,
-    always 0.  Both sum to the Kendall distance to the identity and are
-    inverted exactly by `from_inversion_vector`.  The count bisects the sorted
-    earlier values: O(k^2) at worst, and nothing of size n for a top-k list.
-    """
-    if isinstance(r, Permutation):
-        codes, k = r.ranks, max(r.n - 1, 1)
-    else:
-        codes, k = r.items, r.k
-    earlier, v = [], []
-    for c in codes[:k]:
-        v.append(c - bisect.bisect_left(earlier, c))
-        bisect.insort(earlier, c)
-    return InversionVector(r.n, k, tuple(v))
-
-
-def from_inversion_vector(v: InversionVector, form: str = "auto") -> RankingLike:
-    """Exact inverse of `to_inversion_vector`.
-
-    form: "permutation" (decode as ranks of items 0..n-1), "topk" (decode as
-    a preference-ordered item list), or "auto" (permutation when the vector
-    is full-length, top-k otherwise).
-    """
-    if form == "auto":
-        form = "permutation" if v.k >= v.n - 1 else "topk"
-    if form == "permutation":
-        if v.k < v.n - 1:
-            raise ValidationError("partial vector cannot decode to a full permutation")
-        # the last rank is the 0-th of the one value left unused
-        ranks = _decode_inversions(np.array([v.v[: v.n - 1] + (0,)]))[0]
-        return Permutation(v.n, tuple(ranks.tolist()))
-    if form == "topk":
-        items = _decode_inversions(np.array([v.v]))[0]
-        return TopKRanking(v.n, v.k, tuple(items.tolist()))
-    raise ValidationError(f"unknown form {form!r}")
-
-
-def invert_topk(sigma: TopKRanking) -> TopKRanking:
-    """Rank/item duality swap; preserves the Kendall distance to the identity.
-
-    When the list determines a full permutation (n - k <= 1) this is the exact
-    permutation inverse, censored back to k entries.  Otherwise the relative
-    order pattern of the listed items is inverted within the same item set,
-    which keeps every distance-to-identity contribution intact.
-    """
-    if sigma.n - sigma.k <= 1:
-        items = list(sigma.items)
-        items.extend(sorted(set(range(sigma.n)) - set(items)))
-        full = Permutation.from_items(items)
-        return TopKRanking(sigma.n, sigma.k, full.ranks[: sigma.k])
-    listed = sorted(sigma.items)
-    index_of = {item: pos for pos, item in enumerate(listed)}
-    pattern = [index_of[item] for item in sigma.items]
-    inv_pattern = [0] * sigma.k
-    for pos, val in enumerate(pattern):
-        inv_pattern[val] = pos
-    return TopKRanking(sigma.n, sigma.k, tuple(listed[p] for p in inv_pattern))
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,8 @@ class TestExperiments:
         ("--name", "eborda", "--seeds", -2),
         ("--name", "separation", "--seeds", 1, "--e-gamma-grid", "x", "--c-grid", 3),
         ("--name", "separation", "--seeds", 1, "--e-gamma-grid", 3, "--c-grid", "3,y"),
+        ("--name", "separation", "--seeds", 1, "--k", 40),
+        ("--name", "eborda", "--seeds", 1, "--k", 40),
     ])
     def test_non_positive_seeds_or_step_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"

@@ -19,9 +19,9 @@ from mallows_topk.model import (THETA_CAP, MallowsModel, RandomSource,
                                 expected_topk_distance, log_likelihood,
                                 _inv_expm1, sample_topk,
                                 theta_for_expected_distance)
-from mallows_topk.oracle import delta_ik_oracle, exhaustive_kemeny
-from mallows_topk.rankings import (Permutation, TopKRanking, kendall_full,
-                                   kendall_topk)
+from mallows_topk.oracle import (delta_ik_oracle, exhaustive_kemeny,
+                                 topk_distance_oracle)
+from mallows_topk.rankings import Permutation, TopKRanking, kendall_full
 
 
 class TestBorda:
@@ -263,7 +263,7 @@ def _single_k_fit(sample, sigma0, k):
             total += head - support * _inv_expm1(theta * support)
         return total
 
-    mean_d = sum(kendall_topk(s, sigma0) for s in sample) / len(sample)
+    mean_d = sum(topk_distance_oracle(s, sigma0) for s in sample) / len(sample)
     if mean_d <= 0:
         return ThetaEstimate(THETA_CAP, "point-mass")
     if mean_d >= k * (2 * n - k - 1) / 4.0:

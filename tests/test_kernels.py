@@ -24,10 +24,10 @@ from mallows_topk.model import (THETA_CAP, MallowsModel, RandomSource,
                                 _sample_v_matrix, log_likelihood,
                                 log_psi_total, sample_linear_extension,
                                 sample_topk)
+from mallows_topk.oracle import topk_distance_oracle
 from mallows_topk.rankings import (Permutation, RankingBatch, TopKRanking,
                                    _decode_inversions, _distances_to_full,
-                                   format_rankings_csv, kendall_topk,
-                                   parse_rankings_csv)
+                                   format_rankings_csv, parse_rankings_csv)
 
 
 def _topk(n, perm, k):
@@ -62,7 +62,7 @@ def _small_examples(*params):
 
 
 def _reference_log_probability(model, s):
-    d = kendall_topk(s, model.sigma0)
+    d = topk_distance_oracle(s, model.sigma0)
     return (-model.theta * d + log_psi_total(model.theta, model.n - s.k)
             - log_psi_total(model.theta, model.n))
 
@@ -75,7 +75,7 @@ THETAS = st.sampled_from([0.0, 0.35, 1.7, THETA_CAP])
 @_small_examples()
 def test_distance_kernel_equals_kendall_topk(case):
     sample, sigma0 = case
-    expected = [kendall_topk(s, sigma0) for s in sample]
+    expected = [topk_distance_oracle(s, sigma0) for s in sample]
     got = _distances_to_full(sample, sigma0)
     assert got.dtype == np.int64 and got.tolist() == expected
     model = MallowsModel(sigma0.n, sigma0, 1.0)
@@ -89,7 +89,7 @@ def test_mean_distances_equal_the_all_pairs_mean(case):
     sample, _ = case
     d = pairwise_topk_distances(sample)
     for i, s in enumerate(sample):
-        assert d[i].tolist() == [kendall_topk(s, t) for t in sample]
+        assert d[i].tolist() == [topk_distance_oracle(s, t) for t in sample]
     expected = d.sum(axis=1) / (len(sample) - 1)
     got = mean_distances(sample)
     assert got.dtype == expected.dtype

@@ -11,8 +11,8 @@ from mallows_topk.mixture import (ConcentricMixture, GroundTruth,
                                   separate, separation_gap)
 from mallows_topk.model import (MallowsModel, RandomSource, log_likelihood,
                                 sample_topk, theta_for_expected_distance)
-from mallows_topk.oracle import exact_expectations
-from mallows_topk.rankings import Permutation, TopKRanking, kendall_topk
+from mallows_topk.oracle import exact_expectations, topk_distance_oracle
+from mallows_topk.rankings import Permutation, TopKRanking
 
 
 def make_mixture(n=6, theta_g=2.0, theta_b=0.2, r=0.5):
@@ -73,7 +73,7 @@ class TestMeanDistances:
 
     def test_two_rankings(self):
         a, b = TopKRanking(4, 2, (0, 1)), TopKRanking(4, 2, (1, 0))
-        d = kendall_topk(a, b)
+        d = topk_distance_oracle(a, b)
         assert list(mean_distances([a, b])) == [d, d]
 
     def test_matches_direct_computation(self):
@@ -81,7 +81,7 @@ class TestMeanDistances:
         sample = sample_topk(model, 3, 40, RandomSource(3))
         deltas = mean_distances(sample)
         for i, s in enumerate(sample):
-            direct = sum(kendall_topk(s, t) for j, t in enumerate(sample)
+            direct = sum(topk_distance_oracle(s, t) for j, t in enumerate(sample)
                          if j != i) / (len(sample) - 1)
             assert math.isclose(deltas[i], direct)
 

@@ -188,8 +188,9 @@ class TestMoments:
         assert theta_for_expected_distance(6, 3, limit) == 0.0
         tiny = expected_topk_distance(6, 3, THETA_CAP) / 2
         assert theta_for_expected_distance(6, 3, tiny) == THETA_CAP
-        with pytest.raises(ValidationError):
-            theta_for_expected_distance(6, 3, limit + 1)
+        for k, target in ((3, limit + 1), (0, 1.0), (7, 1.0)):
+            with pytest.raises(ValidationError):
+                theta_for_expected_distance(6, k, target)
 
 
 class TestMarginalsAndLikelihood:

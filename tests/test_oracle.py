@@ -6,8 +6,9 @@ from mallows_topk.errors import SizeError, ValidationError
 from mallows_topk.model import MallowsModel, RandomSource, sample_topk
 from mallows_topk.oracle import (ExhaustiveTable, enumerate_topk,
                                  exact_expectations, exact_topk_distribution,
-                                 exhaustive_kemeny, pairwise_distance_matrix)
-from mallows_topk.rankings import Permutation, TopKRanking, kendall_topk
+                                 exhaustive_kemeny, pairwise_distance_matrix,
+                                 topk_distance_oracle)
+from mallows_topk.rankings import Permutation, TopKRanking
 
 
 class TestEnumerate:
@@ -44,7 +45,7 @@ class TestPairwiseDistances:
         mat = pairwise_distance_matrix([o.items for o in objs], 4, 2)
         for i, a in enumerate(objs):
             for j, b in enumerate(objs):
-                assert mat[i, j] == kendall_topk(a, b)
+                assert mat[i, j] == topk_distance_oracle(a, b)
 
 
 class TestExhaustiveTable:
@@ -61,7 +62,7 @@ class TestExhaustiveTable:
         sigma0 = Permutation.from_items([1, 3, 0, 2])
         table = ExhaustiveTable(4, 2, 0.4, sigma0)
         for obj, d in zip(table.objects, table.distances):
-            assert d == kendall_topk(TopKRanking(4, 2, obj), sigma0)
+            assert d == topk_distance_oracle(TopKRanking(4, 2, obj), sigma0)
 
     def test_sampled_expected_distance(self):
         table = ExhaustiveTable(5, 3, 1.0)

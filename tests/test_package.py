@@ -65,6 +65,27 @@ def test_no_library_module_imports_the_oracle():
     assert _imports_the_oracle(ast.parse((PACKAGE_DIR / "__init__.py").read_text()))
 
 
+def _names_from_rankings(tree: ast.AST) -> set:
+    """The names a module takes from `rankings`; importing the module itself
+    counts as the name "rankings"."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "rankings"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update("rankings" for alias in node.names
+                         if alias.name.split(".")[-1] == "rankings")
+    return names
+
+
+def test_the_oracle_takes_only_the_ranking_types_from_rankings():
+    # the oracle counts pairs itself, so it checks the library's kernels
+    # rather than repeating them
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text(encoding="utf-8"))
+    assert _names_from_rankings(tree) == {"Permutation", "TopKRanking"}
+
+
 def test_importing_the_cli_builds_no_parser():
     # the parser is built by the first main() call, so import time does not pay for it
     code = ("import argparse\n"

@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mallows_topk.errors import DimensionError, ValidationError
-from mallows_topk.rankings import (_BLOCK, InversionVector, Permutation,
-                                   RankingBatch, TopKRanking,
-                                   format_rankings_csv, from_inversion_vector,
-                                   invert_topk, kendall_full, kendall_topk,
-                                   parse_rankings_csv, to_inversion_vector)
+from mallows_topk.model import MallowsModel
+from mallows_topk.oracle import topk_distance_oracle
+from mallows_topk.rankings import (_BLOCK, Permutation, RankingBatch,
+                                   TopKRanking, format_rankings_csv,
+                                   kendall_full, kendall_topk,
+                                   parse_rankings_csv)
 
 
 def brute_kendall_full(a: Permutation, b: Permutation) -> int:
@@ -87,6 +87,15 @@ class TestTopKRanking:
         assert TopKRanking(2, 2, (1, 0)).to_permutation() == Permutation.reverse(2)
 
 
+@st.composite
+def ranking_pairs(draw, max_n=9):
+    """Two item orders of one n, a k for each and whether each side is full."""
+    n = draw(st.integers(1, max_n))
+    orders = tuple(tuple(draw(st.permutations(list(range(n))))) for _ in range(2))
+    ks = (draw(st.integers(1, n)), draw(st.integers(1, n)))
+    return orders, ks, (draw(st.booleans()), draw(st.booleans()))
+
+
 class TestKendall:
     def test_identity_to_reverse_is_max(self):
         n = 6
@@ -128,91 +137,26 @@ class TestKendall:
         q = Permutation.identity(r.n)
         assert kendall_topk(p, q) == kendall_full(p, q)
 
-
-class TestInversionVector:
-    @given(perms)
-    @example(Permutation.identity(1))
-    @example(Permutation.reverse(9))
-    def test_permutation_round_trip(self, p):
-        v = to_inversion_vector(p)
-        assert from_inversion_vector(v, form="permutation") == p
-
-    @given(topk_rankings())
-    @example(TopKRanking(1, 1, (0,)))
-    @example(TopKRanking(9, 9, tuple(range(8, -1, -1))))
-    @example(TopKRanking(9, 3, (8, 7, 6)))
-    def test_topk_round_trip(self, r):
-        v = to_inversion_vector(r)
-        assert from_inversion_vector(v, form="topk") == r
-
     @settings(max_examples=300)
-    @given(topk_rankings(max_n=9), st.booleans())
-    @example(TopKRanking(1, 1, (0,)), True)
-    @example(TopKRanking(1, 1, (0,)), False)
-    @example(TopKRanking(9, 1, (5,)), False)
-    @example(TopKRanking(9, 9, (3, 8, 0, 5, 1, 7, 2, 6, 4)), True)
-    @example(TopKRanking(9, 9, (3, 8, 0, 5, 1, 7, 2, 6, 4)), False)
-    def test_matches_the_definition(self, r, full):
-        # v_j counts the unused values below c_j: later items that outrank
-        # item j of a Permutation, unplaced smaller ids of a top-k list
-        if full:
-            r = Permutation.from_items(r.items + tuple(
-                sorted(set(range(r.n)) - set(r.items))))
-            c, k = r.ranks, max(r.n - 1, 1)
-            expected = [sum(c[i] < c[j] for i in range(j + 1, r.n)) for j in range(k)]
-        else:
-            c, k = r.items, r.k
-            expected = [sum(x < c[j] and x not in c[:j] for x in range(r.n))
-                        for j in range(k)]
-        assert to_inversion_vector(r) == InversionVector(r.n, k, tuple(expected))
-
-    @given(perms)
-    def test_sum_equals_distance_to_identity(self, p):
-        v = to_inversion_vector(p)
-        assert sum(v.v) == kendall_full(p, Permutation.identity(p.n))
-
-    @given(topk_rankings())
-    def test_topk_sum_equals_distance_to_identity(self, r):
-        v = to_inversion_vector(r)
-        assert sum(v.v) == kendall_topk(r, Permutation.identity(r.n))
-
-    def test_component_range_validated(self):
-        with pytest.raises(ValidationError):
-            InversionVector(4, 2, (3, 3))
-
-    def test_auto_form(self):
-        assert isinstance(from_inversion_vector(InversionVector(4, 3, (0, 0, 0))),
-                          Permutation)
-        assert isinstance(from_inversion_vector(InversionVector(4, 2, (0, 0))),
-                          TopKRanking)
-
-
-class TestInvertTopk:
-    def test_full_ranking_is_true_inverse(self):
-        r = TopKRanking(4, 4, (2, 0, 3, 1))
-        expected = r.to_permutation().inverse().items_by_rank()
-        assert invert_topk(r).items == expected
-
-    def test_identity_prefix_is_fixed_point(self):
-        # Inverting a list that starts a permutation keeps the identity fixed.
-        r = TopKRanking(5, 3, (0, 1, 2))
-        assert invert_topk(r).items == (0, 1, 2)
-
-    @given(topk_rankings())
-    @settings(max_examples=200)
-    def test_distance_preserving_involution(self, r):
-        e = Permutation.identity(r.n)
-        flipped = invert_topk(r)
-        assert kendall_topk(flipped, e) == kendall_topk(r, e)
-        assert invert_topk(flipped) == r
-
-    def test_exhaustive_distance_preservation_small(self):
-        for n in range(2, 6):
-            for k in range(1, n + 1):
-                e = Permutation.identity(n)
-                for items in itertools.permutations(range(n), k):
-                    r = TopKRanking(n, k, items)
-                    assert kendall_topk(invert_topk(r), e) == kendall_topk(r, e)
+    @given(ranking_pairs())
+    @example((((0,), (0,)), (1, 1), (False, True)))
+    @example(((tuple(range(9)), tuple(range(8, -1, -1))), (1, 1), (False, False)))
+    @example(((tuple(range(9)), tuple(range(8, -1, -1))), (9, 9), (False, False)))
+    @example((((3, 8, 0, 5, 1, 7, 2, 6, 4), tuple(range(9))), (9, 1), (False, True)))
+    @example((((3, 8, 0, 5, 1, 7, 2, 6, 4), (6, 2, 0, 8, 1, 3, 5, 4, 7)), (3, 1),
+              (True, False)))
+    def test_matches_the_oracle(self, case):
+        orders, ks, full = case
+        # each side is a top-k list of its own k, or the Permutation of its order
+        n = len(orders[0])
+        sigma, pi = (Permutation.from_items(o) if f else TopKRanking(n, k, o[:k])
+                     for o, k, f in zip(orders, ks, full))
+        assert kendall_topk(sigma, pi) == topk_distance_oracle(sigma, pi)
+        p, q = map(Permutation.from_items, orders)
+        assert kendall_full(p, q) == topk_distance_oracle(p, q)
+        top = TopKRanking(n, ks[0], orders[0][:ks[0]])
+        assert MallowsModel(n, q, 1.0).distance_to_consensus(top) \
+            == topk_distance_oracle(top, q)
 
 
 class TestCsv:
