@@ -12,8 +12,8 @@ from .estimation import (ConsensusEstimate, ThetaEstimate, borda,
                          eborda, empirical_pair_accuracy, estimate_theta_mle,
                          partial_estimate_error)
 from .mixture import (ConcentricMixture, GroundTruth, MixtureDraw,
-                      SeparationResult, fit_mixture, mean_distances,
-                      min_sample_size, mixture_log_likelihood,
+                      MixtureFit, SeparationResult, fit_mixture,
+                      mean_distances, min_sample_size, mixture_log_likelihood,
                       pairwise_topk_distances, sample_mixture, separate,
                       separation_gap)
 from .model import (THETA_CAP, MallowsModel, RandomSource,
@@ -38,7 +38,8 @@ __all__ = [
     "borda_estimate", "borda_sample_complexity", "delta_1k",
     "delta_ik_oracle", "eborda", "empirical_pair_accuracy",
     "estimate_theta_mle", "partial_estimate_error",
-    "ConcentricMixture", "GroundTruth", "MixtureDraw", "SeparationResult",
+    "ConcentricMixture", "GroundTruth", "MixtureDraw", "MixtureFit",
+    "SeparationResult",
     "fit_mixture", "mean_distances", "min_sample_size", "mixture_log_likelihood",
     "pairwise_topk_distances", "sample_mixture", "separate",
     "separation_gap",

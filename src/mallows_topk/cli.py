@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from . import estimation, mixture
 from .errors import ValidationError, VacuousBoundError
+# log_likelihood is unused: bench/test_bench.py::test_tracer_wraps_every_binding wraps it
 from .model import (MallowsModel, RandomSource, log_likelihood, sample_topk,
                     theta_for_expected_distance, uniform_limit_distance)
 from .rankings import (_MAX_N, Permutation, TopKRanking, format_rankings_csv,
@@ -24,7 +25,14 @@ DEFAULT_SEED_ENV = "MALLOWS_TOPK_SEED"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(DEFAULT_SEED_ENV, "0"))
+    text = os.environ.get(DEFAULT_SEED_ENV, "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValidationError(f"{DEFAULT_SEED_ENV} must be a non-negative integer, not {text!r}")
+    return seed
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -205,14 +213,10 @@ def run_eborda_experiment(n: int, k: int, m_g: int, m_b: int,
                   + sample_topk(bad, k, m_b, rng.split(1)))
         for size in range(1, total + 1):
             sub = sample[:size]
-            borda_err[size - 1].append(estimation.partial_estimate_error(
-                estimation.borda_estimate(sub), sigma0))
-            if size >= 2:
-                e_est = estimation.eborda(sub)
-            else:
-                e_est = estimation.borda_estimate(sub)
-            eborda_err[size - 1].append(
-                estimation.partial_estimate_error(e_est, sigma0))
+            b_est = estimation.borda_estimate(sub)
+            e_est = estimation.eborda(sub) if size >= 2 else b_est
+            borda_err[size - 1].append(estimation.partial_estimate_error(b_est, sigma0))
+            eborda_err[size - 1].append(estimation.partial_estimate_error(e_est, sigma0))
     rows = ["size,borda_mean,borda_min,borda_max,eborda_mean,eborda_min,eborda_max"]
     for size in range(1, total + 1):
         b, e = borda_err[size - 1], eborda_err[size - 1]
@@ -233,28 +237,20 @@ def run_loglik_experiment(n: int, theta: float, m: int, seeds: int,
     sigma0 = Permutation.from_items([4, 0, 3, 2, 1]) if n == 5 \
         else Permutation.identity(n)
     model = MallowsModel(n, sigma0, theta)
-    uniform = MallowsModel.uniform(n)
     root = RandomSource(seed)
     rows = ["impostors,seed,single_ll,mixture_ll"]
     base_data = read_rankings_csv(data_path) if data_path is not None else None
     if base_data is not None:
-        n = base_data.n
-        m = len(base_data)
-        uniform = MallowsModel.uniform(n)
+        n, m = base_data.n, len(base_data)
+    uniform = MallowsModel.uniform(n)
     for s in range(seeds):
         rng = root.split(s)
         base = base_data if base_data is not None \
             else sample_topk(model, n, m, rng.split(0))
         impostors = sample_topk(uniform, n, 2 * m, rng.split(1))
         for t in range(0, 2 * m + 1, step):
-            sample = base + impostors[:t]
-            consensus = estimation.borda(sample)
-            theta_hat = estimation.estimate_theta_mle(sample, consensus)
-            single = MallowsModel(n, consensus, theta_hat)
-            single_ll = log_likelihood(single, sample)
-            mix = mixture.fit_mixture(sample)
-            mix_ll = mixture.mixture_log_likelihood(mix, sample)
-            rows.append(f"{t},{s},{single_ll:.6f},{mix_ll:.6f}")
+            fit = mixture.fit_mixture(base + impostors[:t])
+            rows.append(f"{t},{s},{fit.single_log_likelihood:.6f},{fit.log_likelihood:.6f}")
     return "\n".join(rows) + "\n"
 
 
@@ -359,14 +355,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not _parser:
         _parser.append(build_parser())
     args = _parser[0].parse_args(argv)
-    if getattr(args, "seed", 0) is None:
-        args.seed = _default_seed()
     if args.command == "experiment":
         if args.mg is None:
             args.mg = 40 if args.name == "separation" else 4
         if args.mb is None:
             args.mb = 60 if args.name == "separation" else 40
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         # looked up by name at call time, so a rebound cmd_* function is the one run
         return globals()[f"cmd_{args.command}"](args)
     except VacuousBoundError as exc:

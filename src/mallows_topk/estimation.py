@@ -92,22 +92,24 @@ def _vote_counts(sample: Sequence[TopKRanking]) -> list:
     return np.bincount(batch._ids(), minlength=batch.n).tolist()
 
 
+def _trusting_the_voted(completion: Permutation, counts: list, method: str,
+                        theta: float, **fields) -> ConsensusEstimate:
+    """The estimate trusting the voted items, which `completion` lists first."""
+    k_prime = int(np.count_nonzero(counts))
+    ranking = completion if k_prime == completion.n else completion.top_k(k_prime)
+    return ConsensusEstimate(ranking, k_prime, tuple(counts), completion,
+                             method, theta, **fields)
+
+
 def borda_estimate(sample: Sequence[TopKRanking]) -> ConsensusEstimate:
     """Borda wrapped as an estimate whose trusted positions are the items at
-    least one voter ranked; never-ranked items sit at the end, untrusted."""
+    least one voter ranked.  Borda's order already lists them first: a listed
+    rank is at most k - 1 < (k + n - 1)/2, the score of an unlisted item, and
+    the stable sort leaves the never-ranked items last in ascending id order."""
     sample = _as_batch(sample)
-    perm = borda(sample)
-    n = perm.n
-    counts = _vote_counts(sample)
-    ranked = [item for item in perm.items_by_rank() if counts[item] > 0]
-    unranked = [item for item in range(n) if counts[item] == 0]
-    k_prime = len(ranked)
-    completion = Permutation.from_items(ranked + unranked)
-    ranking: RankingLike = (completion if k_prime == n
-                            else TopKRanking(n, k_prime, tuple(ranked)))
-    theta = estimate_theta_mle(sample, completion)
-    return ConsensusEstimate(ranking, k_prime, tuple(counts), completion,
-                             "borda", theta)
+    completion = borda(sample)
+    return _trusting_the_voted(completion, _vote_counts(sample), "borda",
+                               estimate_theta_mle(sample, completion))
 
 
 def eborda(sample: Sequence[TopKRanking], method: str = "gap") -> ConsensusEstimate:
@@ -117,39 +119,22 @@ def eborda(sample: Sequence[TopKRanking], method: str = "gap") -> ConsensusEstim
     Defaults to largest-gap clustering: aggregation needs high-precision
     expert identification, and when no clear gap exists the method degrades
     to a near-whole-sample cluster, i.e. essentially plain Borda.  Degenerate
-    separation (indistinguishable voters) falls back to plain Borda with the
-    fallback flag set.
+    separation (indistinguishable voters) makes every voter an expert, which
+    is plain Borda, with the fallback flag set.
     """
-    if len(sample) < 2:
-        raise ValidationError("need at least two rankings")
     sample = _as_batch(sample)
-    result = mixture.separate(sample, method=method)
-    if result.degenerate:
-        est = borda_estimate(sample)
-        est.method = "eborda"
-        est.fallback = True
-        est.expert_indices = tuple(range(len(sample)))
-        return est
+    result = mixture.separate(sample, method=method)  # raises on fewer than two
     experts = sample[np.array(result.expert_flags)]
-    n = sample.n
-    expert_counts = _vote_counts(experts)
-    all_counts = _vote_counts(sample)
-    expert_ranked = {item for item, c in enumerate(expert_counts) if c > 0}
-    expert_order = borda(experts).items_by_rank()
-    prefix = [item for item in expert_order if item in expert_ranked]
-    whole_order = result.consensus.items_by_rank()
-    middle = [item for item in whole_order
-              if item not in expert_ranked and all_counts[item] > 0]
-    unranked = [item for item in range(n)
-                if item not in expert_ranked and all_counts[item] == 0]
-    k_prime = len(prefix) + len(middle)
-    completion = Permutation.from_items(prefix + middle + unranked)
-    ranking: RankingLike = (completion if k_prime == n
-                            else TopKRanking(n, k_prime, tuple(prefix + middle)))
-    expert_idx = tuple(i for i, f in enumerate(result.expert_flags) if f)
-    return ConsensusEstimate(ranking, k_prime, tuple(all_counts), completion,
-                             "eborda", result.theta_g_hat,
-                             expert_indices=expert_idx, prefix_k=len(prefix))
+    # Borda orders the items with a vote first (see borda_estimate)
+    prefix = borda(experts).items_by_rank()[:np.count_nonzero(_vote_counts(experts))]
+    # the expert prefix, then the whole sample's order without its items
+    completion = Permutation.from_items(
+        tuple(dict.fromkeys(prefix + result.consensus.items_by_rank())))
+    return _trusting_the_voted(
+        completion, _vote_counts(sample), "eborda", result.theta_g_hat,
+        fallback=result.degenerate,
+        expert_indices=tuple(i for i, f in enumerate(result.expert_flags) if f),
+        prefix_k=None if result.degenerate else len(prefix))
 
 
 def partial_estimate_error(estimate: ConsensusEstimate, sigma0: Permutation) -> float:
@@ -188,19 +173,23 @@ def estimate_theta_mle(sample: Sequence[TopKRanking], sigma0: Permutation, *,
     if not sample:
         raise ValidationError("sample must be non-empty")
     batch = _as_batch(sample, sigma0.n)
-    m = len(batch)
-    mean_d = int(_distances_to_full(batch, sigma0).sum()) / m
+    est = _theta_mle(_distances_to_full(batch, sigma0), batch.ks, sigma0.n)
+    return est if detail else est.theta
+
+
+def _theta_mle(d: np.ndarray, ks: np.ndarray, n: int) -> ThetaEstimate:
+    """`estimate_theta_mle` from the distances d of rows of lengths ks."""
+    m = len(ks)
+    mean_d = int(d.sum()) / m
     terms, listed = [], m  # listed = #{s : k_s >= j}
-    for j, count in enumerate(np.bincount(batch.ks).tolist()[1:], 1):
-        terms.append((listed / m, sigma0.n - j + 1))
+    for j, count in enumerate(np.bincount(ks).tolist()[1:], 1):
+        terms.append((listed / m, n - j + 1))
         listed -= count
     if mean_d <= 0:
-        est = ThetaEstimate(THETA_CAP, "point-mass")
-    elif mean_d >= sum(w * (support - 1) for w, support in terms) / 2:
-        est = ThetaEstimate(0.0, "uniform")
-    else:
-        est = ThetaEstimate(_solve_theta(terms, mean_d), None)
-    return est if detail else est.theta
+        return ThetaEstimate(THETA_CAP, "point-mass")
+    if mean_d >= sum(w * (support - 1) for w, support in terms) / 2:
+        return ThetaEstimate(0.0, "uniform")
+    return ThetaEstimate(_solve_theta(terms, mean_d), None)
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def min_sample_size(n: int, c: float, r: float, expected_gamma_dist: float,
         raise ValidationError("the separation bound needs n >= 2")
     try:
         return math.ceil((n * (n - 1) / gap) ** 2 * math.log(2 / epsilon) / 2)
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: 0 * inf is nan
         raise ValidationError("the sample-size bound is out of float range") from None
 
 
@@ -252,14 +252,15 @@ def min_sample_size(n: int, c: float, r: float, expected_gamma_dist: float,
 def mixture_log_likelihood(mix: ConcentricMixture, sample: Sequence[TopKRanking]) -> float:
     if not sample:
         raise ValidationError("sample must be non-empty")
-    good = mix.expert_model()
-    bad = mix.nonexpert_model()
-    if mix.r == 1.0:
-        return log_likelihood(good, sample)
-    if mix.r == 0.0:
-        return log_likelihood(bad, sample)
+    if mix.r in (0.0, 1.0):
+        return log_likelihood(mix.expert_model() if mix.r else mix.nonexpert_model(), sample)
     batch = _as_batch(sample, mix.sigma0.n)
-    d, ks = _distances_to_full(batch, mix.sigma0), batch.ks
+    return _mixture_log_likelihood(mix, _distances_to_full(batch, mix.sigma0), batch.ks)
+
+
+def _mixture_log_likelihood(mix: ConcentricMixture, d: np.ndarray, ks: np.ndarray) -> float:
+    """The log-likelihood of rows at distances d with lengths ks, for 0 < r < 1."""
+    good, bad = mix.expert_model(), mix.nonexpert_model()
     lr, lq = math.log(mix.r), math.log1p(-mix.r)
     total = 0.0
     for term in np.logaddexp(lr + good._log_topk_probabilities(d, ks),
@@ -268,22 +269,31 @@ def mixture_log_likelihood(mix: ConcentricMixture, sample: Sequence[TopKRanking]
     return float(total)
 
 
-def fit_mixture(sample: Sequence[TopKRanking], method: str = "2means") -> ConcentricMixture:
+class MixtureFit(NamedTuple):
+    """A fitted mixture, its log-likelihood and the single model's."""
+    mixture: ConcentricMixture
+    log_likelihood: float
+    single_log_likelihood: float
+
+
+def fit_mixture(sample: Sequence[TopKRanking], method: str = "2means") -> MixtureFit:
     """Cluster-then-estimate fit.  The single-component member of the family
     (equal dispersions) is kept instead whenever it scores a higher
-    likelihood, so the fit never loses to the nested model."""
+    likelihood, so the fit never loses to the nested model.  One distance
+    pass serves the single theta and both log-likelihoods."""
     from . import estimation
 
     sample = _as_batch(sample)
     result = separate(sample, method=method)
     consensus = result.consensus
-    single_theta = estimation.estimate_theta_mle(sample, consensus)
-    single = ConcentricMixture(consensus, single_theta, single_theta, 1.0)
-    if result.degenerate or result.r_hat in (0.0, 1.0):
-        return single
-    theta_g = max(result.theta_g_hat, result.theta_b_hat)
-    theta_b = min(result.theta_g_hat, result.theta_b_hat)
-    split = ConcentricMixture(consensus, theta_g, theta_b, result.r_hat)
-    if mixture_log_likelihood(split, sample) >= mixture_log_likelihood(single, sample):
-        return split
-    return single
+    d, ks = _distances_to_full(sample, consensus), sample.ks
+    theta = estimation._theta_mle(d, ks, sample.n).theta
+    single = ConcentricMixture(consensus, theta, theta, 1.0)
+    single_ll = single.expert_model()._log_likelihood(d, ks)
+    if not (result.degenerate or result.r_hat in (0.0, 1.0)):
+        split = ConcentricMixture(consensus, max(result.theta_g_hat, result.theta_b_hat),
+                                  min(result.theta_g_hat, result.theta_b_hat), result.r_hat)
+        split_ll = _mixture_log_likelihood(split, d, ks)
+        if split_ll >= single_ll:
+            return MixtureFit(split, split_ll, single_ll)
+    return MixtureFit(single, single_ll, single_ll)

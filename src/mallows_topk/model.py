@@ -33,6 +33,8 @@ class RandomSource:
 
     def __init__(self, seed: int, _spawn_key: tuple = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValidationError("seed must be a non-negative integer")
         self._spawn_key = tuple(_spawn_key)
         self._sequence = np.random.SeedSequence(self.seed, spawn_key=self._spawn_key)
         self.generator = np.random.default_rng(self._sequence)
@@ -127,6 +129,9 @@ class MallowsModel:
         for k in np.unique(ks).tolist():
             head[k] = log_psi_total(self.theta, self.n - k)
         return -self.theta * d + head[ks] - log_psi_total(self.theta, self.n)
+
+    def _log_likelihood(self, d, ks) -> float:
+        return math.fsum(self._log_topk_probabilities(d, ks).tolist())
 
     def topk_probability(self, sigma: TopKRanking) -> float:
         return math.exp(self.log_topk_probability(sigma))
@@ -292,5 +297,4 @@ def log_likelihood(model: MallowsModel, sample: Sequence[TopKRanking]) -> float:
     if not sample:
         raise ValidationError("sample must be non-empty")
     batch = _as_batch(sample, model.n)
-    d = _distances_to_full(batch, model.sigma0)
-    return math.fsum(model._log_topk_probabilities(d, batch.ks).tolist())
+    return model._log_likelihood(_distances_to_full(batch, model.sigma0), batch.ks)

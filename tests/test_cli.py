@@ -1,16 +1,17 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mallows_topk import cli
+from mallows_topk import cli, estimation, mixture, rankings
 from mallows_topk.cli import main
 from mallows_topk.model import MallowsModel, RandomSource, sample_topk
 from mallows_topk.rankings import (Permutation, TopKRanking,
@@ -85,6 +86,25 @@ class TestSample:
                    "--count", 1, "--out", out) == 2
         assert capsys.readouterr().err == "error: n must be at most 2147483647\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--n", 3, "--k", 2, "--theta", 1, "--count", 2, "--seed", -1),
+        ("experiment", "--name", "loglik", "--m", 5, "--seeds", 1, "--seed", -4),
+    ])
+    def test_negative_seed_exit_2(self, capsys, argv):
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer\n"
+
+    @pytest.mark.parametrize("value", ["", "-1", "abc", "1e3"])
+    def test_bad_seed_environment_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MALLOWS_TOPK_SEED", value)
+        assert run("sample", "--n", 3, "--k", 2, "--theta", 1, "--count", 2) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: MALLOWS_TOPK_SEED must be a non-negative "
+                                f"integer, not {value!r}\n")
 
     def test_invalid_flags_exit_2(self, tmp_path):
         assert run("sample", "--n", 4, "--k", 9, "--theta", 1,
@@ -271,6 +291,13 @@ class TestBounds:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
 
+    def test_nan_separation_bound_exit_2(self, capsys):
+        # the squared ratio underflows to 0 while log(2 / epsilon) overflows
+        assert run("bounds", "--which", "separation", "--n", 2, "--c", "1e308", "--r",
+                   "5e-324", "--e-gamma", "1e308", "--epsilon", "5e-324") == 2
+        assert capsys.readouterr().err == \
+            "error: the sample-size bound is out of float range\n"
+
     def test_zero_theta_borda_exit_2(self, capsys):
         assert run("bounds", "--which", "borda", "--n", 8, "--k", 3,
                    "--theta", 0, "--i", 1) == 2
@@ -359,3 +386,108 @@ def test_cli_paths_build_no_ranking_object_per_row(tmp_path, monkeypatch):
         assert run(*argv) == 0
     assert len(read_rankings_csv(tmp_path / "s.csv")) == 2000
     assert len(calls) <= len(runs)  # at most a consensus prefix per command
+
+
+# SHA-256 of outputs recorded before the likelihoods and the Borda orders were
+# computed once each; the aggregate input is the `sample` output below.
+GOLDEN_SAMPLE = ("036268fd5edae44c2d79a4ca81c5f884"
+                 "6915852c39883db9d9539b050fd3f9d8")
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (("experiment", "--name", "loglik", "--m", 20, "--seeds", 2, "--step", 3, "--seed", 5),
+     "aa70ecd0314af8421ee6d4a1f1d22c014ea1757c4a48bd494a68a80f9802f5d2"),
+    (("experiment", "--name", "eborda", "--seeds", 2, "--seed", 4),
+     "7b165a294ae219b9201baafebec1bce2dd06a65cf6b4029c872593fde9311421"),
+    (("aggregate", "--method", "eborda"),
+     "b72d39359f77fdea431092149f7b7565b32fdd330723d9f2db84ef6b13b18b61"),
+])
+def test_outputs_match_the_recorded_hashes(tmp_path, argv, sha256):
+    source, out = tmp_path / "s.csv", tmp_path / "out"
+    assert run("sample", "--n", 25, "--k", 2, "--theta", 0.1, "--count", 40,
+               "--seed", 0, "--out", source) == 0
+    assert hashlib.sha256(source.read_bytes()).hexdigest() == GOLDEN_SAMPLE
+    if argv[0] == "aggregate":
+        argv += ("--in", source)
+    assert run(*argv, "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_a_loglik_step_computes_each_estimate_once(monkeypatch):
+    # per step: mean_distances, the two cluster MLEs and fit_mixture's one
+    # pass against the consensus; Borda runs once, inside separate
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((rankings, "_pair_sums"), (mixture, "_pair_sums"),
+                         (estimation, "borda")):
+        counted(module, name)
+    text = cli.run_loglik_experiment(5, 1.43, 20, 1, 3, step=20)
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == 3
+    assert float(rows[-1]["mixture_ll"]) > float(rows[-1]["single_ll"])  # a split fit
+    assert calls["_pair_sums"] <= 4 * len(rows)
+    assert calls["borda"] == len(rows)
+
+
+def _assert_clean_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
+_SMALL = st.integers(1, 8) | st.integers(-2, 8)  # mostly valid, so that some runs succeed
+_EXPERIMENT_FLAGS = ("--m", "--mg", "--mb", "--n", "--k", "--loglik-n", "--seeds",
+                     "--step", "--seed", "--e-gamma", "--e-beta")
+
+
+@st.composite
+def _csv_texts(draw):
+    """Text of up to 8 rows over n = 0..6, each row a prefix of a permutation
+    of the ids or arbitrary ids in -1..n+1, or arbitrary characters."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet="# n=0123456789,-+\n \r", max_size=60))
+    n = draw(st.integers(0, 6))
+    ids = st.lists(st.integers(-1, n + 1), max_size=n + 1)
+    prefix = st.permutations(range(1, n + 1)).flatmap(
+        lambda p: st.integers(0, len(p)).map(lambda k: p[:k]))
+    rows = draw(st.lists(st.one_of(prefix, ids), max_size=8))
+    return f"# n={n}\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["separation", "eborda", "loglik"]),
+           values=st.lists(_SMALL, min_size=len(_EXPERIMENT_FLAGS),
+                           max_size=len(_EXPERIMENT_FLAGS)),
+           grid=st.tuples(_SMALL, _SMALL))
+    def test_experiment_integers_exit_cleanly(self, name, values, grid):
+        argv = ["experiment", f"--name={name}", f"--e-gamma-grid={grid[0]}",
+                f"--c-grid={grid[1]}"]
+        argv += [f"{flag}={v}" for flag, v in zip(_EXPERIMENT_FLAGS, values)]
+        _assert_clean_exit(argv)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_csv_texts(),
+           command=st.sampled_from([("separate",), ("separate", "--method", "gap"),
+                                    ("aggregate",), ("aggregate", "--method", "eborda"),
+                                    ("aggregate", "--method", "eborda",
+                                     "--cluster-method", "2means")]))
+    def test_csv_text_exits_cleanly(self, tmp_path, text, command):
+        source = tmp_path / "in.csv"
+        source.write_text(text, encoding="utf-8")
+        _assert_clean_exit([*command, "--in", str(source)])

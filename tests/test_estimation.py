@@ -24,7 +24,33 @@ from mallows_topk.oracle import (delta_ik_oracle, exhaustive_kemeny,
 from mallows_topk.rankings import Permutation, TopKRanking, kendall_full
 
 
+@st.composite
+def topk_samples(draw):
+    """(n, rankings): n in 1..10, each ranking's k drawn on its own, or
+    every k = n."""
+    n = draw(st.integers(1, 10))
+    full = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        items = draw(st.permutations(range(n)))
+        k = n if full else draw(st.integers(1, n))
+        rows.append(TopKRanking(n, k, tuple(items[:k])))
+    return n, rows
+
+
 class TestBorda:
+    @settings(max_examples=200, deadline=None)
+    @given(topk_samples())
+    @example((1, [TopKRanking(1, 1, (0,))]))
+    @example((4, [TopKRanking(4, 4, (2, 0, 3, 1)), TopKRanking(4, 4, (1, 2, 0, 3))]))
+    @example((6, [TopKRanking(6, 1, (5,)), TopKRanking(6, 3, (4, 2, 5))]))
+    def test_listed_items_precede_the_rest_in_id_order(self, case):
+        n, sample = case
+        order = borda(sample).items_by_rank()
+        listed = {item for r in sample for item in r.items}
+        assert set(order[:len(listed)]) == listed
+        assert list(order[len(listed):]) == sorted(set(range(n)) - listed)
+
     def test_unanimous(self):
         r = TopKRanking(5, 5, (3, 0, 4, 1, 2))
         assert borda([r] * 7).items_by_rank() == (3, 0, 4, 1, 2)
@@ -106,6 +132,8 @@ class TestEborda:
         assert est.fallback
         assert est.completion == borda(sample)
         assert est.expert_indices == tuple(range(6))
+        assert est.prefix_k is None
+        assert est.theta_hat == borda_estimate(sample).theta_hat
 
     def test_experts_unanimous_prefix(self):
         expert = TopKRanking(8, 3, (5, 6, 7))

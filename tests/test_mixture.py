@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mallows_topk.errors import ValidationError, VacuousBoundError
+from mallows_topk.estimation import borda, estimate_theta_mle
 from mallows_topk.mixture import (ConcentricMixture, GroundTruth,
                                   fit_mixture, mean_distances,
                                   min_sample_size, mixture_log_likelihood,
@@ -257,7 +260,7 @@ class TestFitMixture:
         mix = make_mixture(n=6, theta_g=2.0, theta_b=0.1, r=0.5)
         draw = sample_mixture(mix, 6, 120, RandomSource(16))
         sample = draw.rankings
-        fitted = fit_mixture(sample)
+        fitted = fit_mixture(sample).mixture
         from mallows_topk.estimation import borda, estimate_theta_mle
         consensus = borda(sample)
         theta = estimate_theta_mle(sample, consensus)
@@ -270,11 +273,60 @@ class TestFitMixture:
         theta_b = theta_for_expected_distance(n, k, 80.0)
         mix = ConcentricMixture(Permutation.identity(n), theta_g, theta_b, 0.5)
         draw = sample_mixture(mix, k, 200, RandomSource(17))
-        fitted = fit_mixture(draw.rankings)
+        fitted = fit_mixture(draw.rankings).mixture
         assert fitted.theta_g > fitted.theta_b
         assert abs(fitted.r - 0.5) < 0.1
 
     def test_single_population_collapses(self):
         sample = [TopKRanking(5, 2, (1, 3))] * 10
-        fitted = fit_mixture(sample)
+        fitted = fit_mixture(sample).mixture
         assert fitted.r == 1.0 and fitted.theta_g == fitted.theta_b
+
+
+def _fit_sample(n, m, theta_b, seed, cut, identical):
+    """m draws of a concentric mixture on n items (theta_g = 1, r = 1/2), the
+    s-th cut to its first cut[s] items; all equal to the first if identical."""
+    mix = ConcentricMixture(Permutation.identity(n), 1.0, theta_b, 0.5)
+    rows = sample_mixture(mix, n, m, RandomSource(seed)).rankings
+    sample = [TopKRanking(n, min(k, n), r.items[:min(k, n)]) for r, k in zip(rows, cut)]
+    return [sample[0]] * m if identical else sample
+
+
+def _assert_exact_record(sample):
+    """The fit's two log-likelihoods equal the public functions' values."""
+    fit = fit_mixture(sample)
+    c = borda(sample)
+    assert fit.mixture.sigma0 == c
+    assert fit.log_likelihood == mixture_log_likelihood(fit.mixture, sample)
+    single = MallowsModel(c.n, c, estimate_theta_mle(sample, c))
+    assert fit.single_log_likelihood == log_likelihood(single, sample)
+    return fit
+
+
+class TestFitRecord:
+    @pytest.mark.parametrize("case, branch", [
+        ((7, 13, 0.0, 2, [7] * 13, False), "split"),
+        ((5, 9, 0.3, 1, [3, 1, 5] * 3, False), "split"),
+        ((7, 26, 0.3, 0, [7] * 26, False), "single"),
+        ((6, 30, 1.0, 5, [2, 6, 4] * 10, False), "single"),
+        ((4, 6, 0.3, 1, [2] * 6, True), "degenerate"),
+    ])
+    def test_each_branch_keeps_an_exact_record(self, case, branch):
+        sample = _fit_sample(*case)
+        fit = _assert_exact_record(sample)
+        result = separate(sample)
+        assert result.degenerate == (branch == "degenerate")
+        if branch == "split":
+            assert 0 < fit.mixture.r < 1 and fit.log_likelihood > fit.single_log_likelihood
+        else:
+            assert fit.mixture.r == 1.0 and fit.log_likelihood == fit.single_log_likelihood
+            assert branch == "degenerate" or 0 < result.r_hat < 1
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 7), m=st.integers(2, 30),
+           theta_b=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**16),
+           cut=st.lists(st.integers(1, 7), min_size=30, max_size=30),
+           identical=st.booleans())
+    def test_the_record_is_exact(self, n, m, theta_b, seed, cut, identical):
+        fit = _assert_exact_record(_fit_sample(n, m, theta_b, seed, cut, identical))
+        assert fit.log_likelihood >= fit.single_log_likelihood

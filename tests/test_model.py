@@ -38,6 +38,10 @@ class TestRandomSource:
         b = RandomSource(7).split(3).generator.random(4)
         assert np.array_equal(a, b)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            RandomSource(-1)
+
 
 class TestNormalization:
     @given(st.integers(2, 30), st.floats(0.0, 10.0))
