@@ -125,8 +125,10 @@ def eborda(sample: Sequence[TopKRanking], method: str = "gap") -> ConsensusEstim
     sample = _as_batch(sample)
     result = mixture.separate(sample, method=method)  # raises on fewer than two
     experts = sample[np.array(result.expert_flags)]
-    # Borda orders the items with a vote first (see borda_estimate)
-    prefix = borda(experts).items_by_rank()[:np.count_nonzero(_vote_counts(experts))]
+    # Borda orders the items with a vote first (see borda_estimate); on a
+    # degenerate split the experts are the whole sample, whose Borda is known
+    order = result.consensus if result.degenerate else borda(experts)
+    prefix = order.items_by_rank()[:np.count_nonzero(_vote_counts(experts))]
     # the expert prefix, then the whole sample's order without its items
     completion = Permutation.from_items(
         tuple(dict.fromkeys(prefix + result.consensus.items_by_rank())))

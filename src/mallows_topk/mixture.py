@@ -239,7 +239,7 @@ def min_sample_size(n: int, c: float, r: float, expected_gamma_dist: float,
     if n < 2:
         raise ValidationError("the separation bound needs n >= 2")
     try:
-        return math.ceil((n * (n - 1) / gap) ** 2 * math.log(2 / epsilon) / 2)
+        return max(1, math.ceil((n * (n - 1) / gap) ** 2 * math.log(2 / epsilon) / 2))
     except (OverflowError, ValueError):  # ValueError: 0 * inf is nan
         raise ValidationError("the sample-size bound is out of float range") from None
 
@@ -291,8 +291,10 @@ def fit_mixture(sample: Sequence[TopKRanking], method: str = "2means") -> Mixtur
     single = ConcentricMixture(consensus, theta, theta, 1.0)
     single_ll = single.expert_model()._log_likelihood(d, ks)
     if not (result.degenerate or result.r_hat in (0.0, 1.0)):
-        split = ConcentricMixture(consensus, max(result.theta_g_hat, result.theta_b_hat),
-                                  min(result.theta_g_hat, result.theta_b_hat), result.r_hat)
+        g, b, r = result.theta_g_hat, result.theta_b_hat, result.r_hat
+        if g < b:  # the low-delta cluster is the wider one: r is the other's share
+            g, b, r = b, g, result.expert_flags.count(False) / len(sample)
+        split = ConcentricMixture(consensus, g, b, r)
         split_ll = _mixture_log_likelihood(split, d, ks)
         if split_ll >= single_ll:
             return MixtureFit(split, split_ll, single_ll)

@@ -15,15 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .rankings import (
-    Permutation,
-    RankingBatch,
-    TopKRanking,
-    _as_batch,
-    _decode_inversions,
-    _distances_to_full,
-    kendall_topk,
-)
+from .rankings import (_MAX_N, Permutation, RankingBatch, TopKRanking, _as_batch,
+                       _decode_inversions, _distances_to_full, kendall_topk)
 
 THETA_CAP = 50.0  # beyond this the distribution is numerically a point mass
 
@@ -169,6 +162,8 @@ def sample_topk(model: MallowsModel, k: int, count: int, rng: RandomSource) -> R
         raise ValidationError("k must satisfy 1 <= k <= n")
     if count < 0:
         raise ValidationError("count must be >= 0")
+    if count > _MAX_N:  # before numpy is asked for a shape it cannot make
+        raise ValidationError(f"count must be at most {_MAX_N}")
     v = _sample_v_matrix(model.theta, model.n, range(1, k + 1), count, rng.generator)
     codes = _decode_inversions(v)
     by_rank = np.array(model.sigma0.items_by_rank(), dtype=np.int32)

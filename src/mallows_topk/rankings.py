@@ -18,9 +18,18 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 
+def _inverse(values: Iterable[int], size: int, fill: int) -> list:
+    """out[v] = i for each position i holding value v; `fill` in every other slot."""
+    out = [fill] * size
+    for i, v in enumerate(values):
+        out[v] = i
+    return out
+
+
 @dataclass(frozen=True)
 class Permutation:
-    """A full ranking of n items; ranks[i] is the rank of item i (0 = best)."""
+    """A full ranking of n items; ranks[i] is the rank of item i (0 = best).
+    Its inverse, the preference order, is built once and is not a field."""
 
     n: int
     ranks: tuple
@@ -28,9 +37,15 @@ class Permutation:
     def __post_init__(self):
         if self.n <= 0:
             raise ValidationError("n must be positive")
-        if len(self.ranks) != self.n or sorted(self.ranks) != list(range(self.n)):
+        try:
+            bijection = sorted(self.ranks) == list(range(self.n))
+        except TypeError:  # values that do not compare with ints
+            bijection = False
+        if len(self.ranks) != self.n or not bijection:
             raise ValidationError("ranks must be a bijection on 0..n-1")
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        ranks = tuple(map(int, self.ranks))
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "_order", tuple(_inverse(ranks, self.n, 0)))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -42,31 +57,20 @@ class Permutation:
 
     @classmethod
     def from_items(cls, items: Sequence[int]) -> "Permutation":
-        """Build from a preference-ordered item list (items[r] has rank r)."""
-        n = len(items)
-        ranks = [0] * n
-        for r, i in enumerate(items):
-            ranks[i] = r
-        return cls(n, tuple(ranks))
+        """Build from a preference-ordered item list (items[r] has rank r),
+        which is valid exactly when it is valid as a rank vector."""
+        return cls(len(items), items).inverse()
 
     def items_by_rank(self) -> tuple:
         """Item ids in preference order (inverse view of `ranks`)."""
-        out = [0] * self.n
-        for item, r in enumerate(self.ranks):
-            out[r] = item
-        return tuple(out)
+        return self._order
 
     def inverse(self) -> "Permutation":
-        return Permutation(self.n, self.items_by_rank())
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """(self . other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise DimensionError("mismatched item counts")
-        return Permutation(self.n, tuple(self.ranks[other.ranks[i]] for i in range(self.n)))
+        """The inverse permutation: the two checked views swapped, O(1)."""
+        return _unchecked(Permutation, n=self.n, ranks=self._order, _order=self.ranks)
 
     def top_k(self, k: int) -> "TopKRanking":
-        return TopKRanking(self.n, k, self.items_by_rank()[:k])
+        return TopKRanking(self.n, k, self._order[:k])
 
 
 @dataclass(frozen=True)
@@ -96,10 +100,7 @@ class TopKRanking:
         The sentinel preserves every determined pairwise comparison: any
         listed item has rank < k <= rank of any unlisted item.
         """
-        ranks = [self.k] * self.n
-        for r, i in enumerate(self.items):
-            ranks[i] = r
-        return ranks
+        return _inverse(self.items, self.n, self.k)
 
     def to_permutation(self) -> Permutation:
         if self.k != self.n:
@@ -111,12 +112,11 @@ RankingLike = Union[Permutation, TopKRanking]
 _MAX_N = 2**31 - 1  # item ids are stored as int32
 
 
-def _view(n: int, k: int, items: tuple) -> TopKRanking:
-    """A TopKRanking of values already checked: no __post_init__."""
-    r = object.__new__(TopKRanking)
-    fields = r.__dict__
-    fields["n"], fields["k"], fields["items"] = n, k, items
-    return r
+def _unchecked(cls, **fields):
+    """A Permutation or TopKRanking of values already checked: no __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 class RankingBatch(Sequence):
@@ -156,13 +156,14 @@ class RankingBatch(Sequence):
             ks = self.ks[index]
             return RankingBatch._trusted(self.n, self.items[index, :ks.max(initial=0)], ks)
         k = int(self.ks[index])
-        return _view(self.n, k, tuple(self.items[index, :k].tolist()))
+        return _unchecked(TopKRanking, n=self.n, k=k,
+                          items=tuple(self.items[index, :k].tolist()))
 
     def __iter__(self):
         for lo in range(0, len(self), _BLOCK):
             rows = self.items[lo:lo + _BLOCK].tolist()
             for k, row in zip(self.ks[lo:lo + _BLOCK].tolist(), rows):
-                yield _view(self.n, k, tuple(row[:k]))
+                yield _unchecked(TopKRanking, n=self.n, k=k, items=tuple(row[:k]))
 
     def __add__(self, other) -> "RankingBatch":
         other = _as_batch(other, self.n)

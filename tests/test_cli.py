@@ -106,6 +106,16 @@ class TestSample:
         assert captured.err == ("error: MALLOWS_TOPK_SEED must be a non-negative "
                                 f"integer, not {value!r}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--n", 30, "--k", 10, "--theta", 1, "--count", 10**19),
+        ("experiment", "--name", "loglik", "--m", 10**19, "--seeds", 1),
+    ])
+    def test_count_beyond_the_id_range_exit_2(self, capsys, argv):
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: count must be at most 2147483647\n"
+
     def test_invalid_flags_exit_2(self, tmp_path):
         assert run("sample", "--n", 4, "--k", 9, "--theta", 1,
                    "--count", 1, "--seed", 0,
@@ -298,6 +308,11 @@ class TestBounds:
         assert capsys.readouterr().err == \
             "error: the sample-size bound is out of float range\n"
 
+    def test_separation_bound_is_at_least_one(self, capsys):
+        assert run("bounds", "--which", "separation", "--n", 2, "--c", "1e200",
+                   "--r", 1, "--e-gamma", "1e100") == 0
+        assert json.loads(capsys.readouterr().out)["m"] == 1
+
     def test_zero_theta_borda_exit_2(self, capsys):
         assert run("bounds", "--which", "borda", "--n", 8, "--k", 3,
                    "--theta", 0, "--i", 1) == 2
@@ -389,7 +404,8 @@ def test_cli_paths_build_no_ranking_object_per_row(tmp_path, monkeypatch):
 
 
 # SHA-256 of outputs recorded before the likelihoods and the Borda orders were
-# computed once each; the aggregate input is the `sample` output below.
+# computed once each (separate and aggregate --method borda: before each
+# Permutation kept its preference order); the input is the `sample` output below.
 GOLDEN_SAMPLE = ("036268fd5edae44c2d79a4ca81c5f884"
                  "6915852c39883db9d9539b050fd3f9d8")
 
@@ -401,13 +417,17 @@ GOLDEN_SAMPLE = ("036268fd5edae44c2d79a4ca81c5f884"
      "7b165a294ae219b9201baafebec1bce2dd06a65cf6b4029c872593fde9311421"),
     (("aggregate", "--method", "eborda"),
      "b72d39359f77fdea431092149f7b7565b32fdd330723d9f2db84ef6b13b18b61"),
+    (("aggregate", "--method", "borda"),
+     "227a8add0914104b3d6c7429e80ef7e68dffd062f42a00043bc02c0edde779e0"),
+    (("separate",),
+     "2a16309103de5a08ea1b061135a7589982902f64f9db5a1b55929f1b51884eed"),
 ])
 def test_outputs_match_the_recorded_hashes(tmp_path, argv, sha256):
     source, out = tmp_path / "s.csv", tmp_path / "out"
     assert run("sample", "--n", 25, "--k", 2, "--theta", 0.1, "--count", 40,
                "--seed", 0, "--out", source) == 0
     assert hashlib.sha256(source.read_bytes()).hexdigest() == GOLDEN_SAMPLE
-    if argv[0] == "aggregate":
+    if argv[0] in ("aggregate", "separate"):
         argv += ("--in", source)
     assert run(*argv, "--out", out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

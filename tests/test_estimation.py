@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mallows_topk import estimation
 from mallows_topk.errors import (SizeError, ValidationError,
                                  VacuousBoundError)
 from mallows_topk.estimation import (ConsensusEstimate, ThetaEstimate, borda,
@@ -134,6 +135,18 @@ class TestEborda:
         assert est.expert_indices == tuple(range(6))
         assert est.prefix_k is None
         assert est.theta_hat == borda_estimate(sample).theta_hat
+
+    def test_degenerate_sample_runs_borda_once(self, monkeypatch):
+        sample = [TopKRanking(5, 3, (0, 1, 2))] * 6
+        expected = eborda(sample).to_json_dict()
+        calls = []
+
+        def counted(batch):
+            calls.append(len(batch))
+            return borda(batch)
+        monkeypatch.setattr(estimation, "borda", counted)
+        assert eborda(sample).to_json_dict() == expected
+        assert calls == [6]
 
     def test_experts_unanimous_prefix(self):
         expert = TopKRanking(8, 3, (5, 6, 7))

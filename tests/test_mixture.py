@@ -214,6 +214,10 @@ class TestBounds:
     def test_min_sample_size_fixture(self):
         assert min_sample_size(30, 9, 0.4, 10.0, 0.05) == 1781
 
+    def test_min_sample_size_is_at_least_one(self):
+        # the gap is 1e300 and the squared ratio 4e-600 rounds to 0
+        assert min_sample_size(2, 1e200, 1.0, 1e100, 0.05) == 1
+
     def test_min_sample_size_monotonicity(self):
         base = min_sample_size(30, 9, 0.4, 10.0, 0.05)
         assert min_sample_size(30, 12, 0.4, 10.0, 0.05) < base
@@ -281,6 +285,25 @@ class TestFitMixture:
         sample = [TopKRanking(5, 2, (1, 3))] * 10
         fitted = fit_mixture(sample).mixture
         assert fitted.r == 1.0 and fitted.theta_g == fitted.theta_b
+
+    def test_r_is_the_share_of_the_cluster_with_the_larger_theta(self):
+        # top-1 rows at theta 0.05 are closer to one another than top-10
+        # rows at theta 1, so separate calls them experts; their theta-hat
+        # is the smaller, and theta_g must come with the other rows' share
+        rng, sigma0 = RandomSource(0), Permutation.identity(30)
+        sample = (sample_topk(MallowsModel(30, sigma0, 0.05), 1, 300, rng.split(0))
+                  + sample_topk(MallowsModel(30, sigma0, 1.0), 10, 300, rng.split(1)))
+        result = separate(sample)
+        assert result.theta_g_hat < result.theta_b_hat and result.r_hat < 0.5
+        fit = fit_mixture(sample)
+        assert (fit.mixture.theta_g, fit.mixture.theta_b) == (result.theta_b_hat,
+                                                              result.theta_g_hat)
+        assert fit.mixture.r == result.expert_flags.count(False) / 600
+        assert fit.log_likelihood == mixture_log_likelihood(fit.mixture, sample)
+        swapped = ConcentricMixture(fit.mixture.sigma0, result.theta_b_hat,
+                                    result.theta_g_hat, result.r_hat)
+        assert fit.log_likelihood > mixture_log_likelihood(swapped, sample)
+        assert fit.log_likelihood > fit.single_log_likelihood
 
 
 def _fit_sample(n, m, theta_b, seed, cut, identical):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -45,9 +47,37 @@ class TestPermutation:
         p = Permutation.from_items([3, 1, 0, 2])
         assert p.inverse().inverse() == p
 
-    def test_compose_with_inverse_is_identity(self):
-        p = Permutation.from_items([3, 1, 0, 2])
-        assert p.compose(p.inverse()) == Permutation.identity(4)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.permutations(list(range(n)))))
+    @example([0])
+    def test_from_items_matches_the_loop_construction(self, items):
+        # the construction before the preference order was stored: a loop
+        # inverts the items, and items_by_rank loops back on every call
+        n = len(items)
+        ranks = [0] * n
+        for r, i in enumerate(items):
+            ranks[i] = r
+        old = Permutation(n, tuple(ranks))
+        order = [0] * n
+        for item, r in enumerate(old.ranks):
+            order[r] = item
+        p = Permutation.from_items(items)
+        assert p == old and hash(p) == hash(old) and repr(p) == repr(old)
+        assert p.ranks == old.ranks == tuple(ranks)
+        assert p.items_by_rank() == tuple(order) == tuple(items)
+        assert p.items_by_rank() is p.items_by_rank()
+        assert p.inverse() == Permutation(n, items)
+        for q in (p, pickle.loads(pickle.dumps(p)), dataclasses.replace(p),
+                  dataclasses.replace(p.inverse(), ranks=p.ranks)):
+            assert q == p and q.items_by_rank() == tuple(items)
+            assert q.inverse() == Permutation(n, items)
+            assert all(q.ranks[i] == r for r, i in enumerate(q.items_by_rank()))
+
+    @pytest.mark.parametrize("items", [[0, 0, 1], [-1, 0, 1], [0, 5, 1], [0, 1.5, 2],
+                                       [0, "1", 2]])
+    def test_from_items_rejects_a_non_bijection(self, items):
+        with pytest.raises(ValidationError, match="bijection"):
+            Permutation.from_items(items)
 
     def test_invalid_ranks_rejected(self):
         with pytest.raises(ValidationError):
