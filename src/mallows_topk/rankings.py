@@ -303,18 +303,74 @@ def _decode_inversions(v: np.ndarray) -> np.ndarray:
 
 
 def parse_rankings_csv(text: str) -> RankingBatch:
-    """The rankings of a CSV text as one RankingBatch.  The ids of all rows
-    are read in one pass, with the token syntax of int(), and checked at
-    once; a bad file raises the ValidationError of its first bad row."""
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if not lines or not lines[0].startswith("# n="):
+    """The rankings of a CSV text as one RankingBatch, checked at once; a bad
+    file raises the ValidationError of its first bad row.  A text of ASCII
+    digits, ',' and '\\n' under its header is read with numpy, any other
+    with the token syntax of int(): both read the same numbers."""
+    end = text.find("\n")
+    head = text if end < 0 else text[:end]
+    if text.isascii() and head.startswith("# n=") and head[4:].isdigit():
+        n = _header_n(head)
+        read = _read_digit_rows(text, len(head) + 1, n)
+        if read is not None:
+            ids, ks = read
+            return RankingBatch(n, _pad(ids, ks), ks)
+    return _parse_int_tokens(text)
+
+
+def _header_n(line: str) -> int:
+    """The item count n of the header line `# n=<N>`."""
+    if not line.startswith("# n="):
         raise ValidationError("missing mandatory header line '# n=<N>'")
     try:
-        n = int(lines[0][4:])
+        n = int(line[4:])
     except ValueError as exc:
         raise ValidationError("malformed header line") from exc
     if n > _MAX_N:
         raise ValidationError(f"n must be at most {_MAX_N}")
+    return n
+
+
+def _read_digit_rows(text: str, offset: int, n: int):
+    """(ids - 1, ks) of the ASCII text from `offset` on if its rows are 1 to n
+    tokens of 1 to 18 digits joined by ',' and ended by '\\n' (the last
+    '\\n' may be missing); None for any other text.  In blocks of `_BLOCK`
+    rows, the separators give every token's start and width, and Horner
+    over digit columns reads the values, each column on the tokens that wide."""
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[offset:]
+    ends = np.flatnonzero(buf == 10)
+    if len(buf) and buf[-1] != 10:
+        ends = np.append(ends, len(buf))
+    empty = np.zeros(0, dtype=np.int64)
+    ids, ks, lo = [empty], [empty], 0
+    for b in range(0, len(ends), _BLOCK):
+        hi = int(ends[min(b + _BLOCK, len(ends)) - 1])
+        chunk = buf[lo:hi]  # the block's rows, without their last newline
+        digit = chunk - np.uint8(48)  # wraps round below '0'
+        sep = np.flatnonzero(digit > 9)
+        byte = chunk[sep]
+        newline = byte == 10
+        start = np.concatenate(([0], sep + 1))
+        width = np.append(sep, len(chunk)) - start
+        if ((byte != 44) & ~newline).any() or not 0 < width.min() <= width.max() <= 18:
+            return None
+        vals = digit[start].astype(np.int64)
+        for i in range(1, int(width.max())):
+            wide = width > i
+            vals = np.where(wide, vals * 10 + digit[np.where(wide, start + i, 0)], vals)
+        row_last = np.append(np.flatnonzero(newline), len(start) - 1)  # token indices
+        ids.append(vals - 1)
+        ks.append(np.diff(row_last, prepend=-1))
+        lo = hi + 1
+    ks = np.concatenate(ks)
+    return None if ks.max(initial=0) > n else (np.concatenate(ids), ks)
+
+
+def _parse_int_tokens(text: str) -> RankingBatch:
+    """`parse_rankings_csv` for any text: blank and comment lines skipped,
+    the ids of all rows read in one pass with the token syntax of int()."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    n = _header_n(lines[0] if lines else "")
     rows = [ln for ln in lines[1:] if ln[0] != "#"]
     ks = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64, len(rows)) + 1
     try:
@@ -357,8 +413,13 @@ def format_rankings_csv(rankings: Iterable[TopKRanking]) -> str:
 
 
 def read_rankings_csv(path) -> RankingBatch:
+    """The rankings of a UTF-8 text file; each newline convention reads as '\\n'."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_rankings_csv(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"ranking file {str(path)!r} is not UTF-8 text") from exc
+    return parse_rankings_csv(text)
 
 
 def write_rankings_csv(path, rankings: Iterable[TopKRanking]) -> None:

@@ -213,6 +213,33 @@ class TestAggregate:
         assert run("aggregate", "--in", src) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("separate", "--in", "{bad}", "--out", "{out}"),
+    ("aggregate", "--in", "{bad}", "--out", "{out}"),
+    ("sample", "--n", 3, "--k", 2, "--theta", 1, "--count", 2, "--sigma0", "{bad}",
+     "--out", "{out}"),
+    ("experiment", "--name", "loglik", "--data", "{bad}", "--seeds", 1, "--out", "{out}"),
+])
+def test_a_ranking_file_that_is_not_utf8_exit_2(tmp_path, capsys, argv):
+    bad, out = tmp_path / "bad.csv", tmp_path / "out"
+    bad.write_bytes(b"# n=3\n1,2\xff\n")
+    assert run(*(str(a).format(bad=bad, out=out) for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not UTF-8" in captured.err
+
+
+def test_a_crlf_ranking_file_reads_as_its_lf_twin(tmp_path, monkeypatch):
+    # text mode turns "\r\n" into "\n", so both files take the numpy reader
+    monkeypatch.setattr(rankings, "_parse_int_tokens", None)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(b"# n=4\n2,1\n4,3,1\n")
+    crlf.write_bytes(b"# n=4\r\n2,1\r\n4,3,1\r\n")
+    assert read_rankings_csv(crlf) == read_rankings_csv(lf) \
+        == [TopKRanking(4, 2, (1, 0)), TopKRanking(4, 3, (3, 2, 0))]
+
+
 class TestBounds:
     def test_borda_bound_json(self, tmp_path, capsys):
         assert run("bounds", "--which", "borda", "--n", 8, "--k", 3,

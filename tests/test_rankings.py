@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mallows_topk import rankings
 from mallows_topk.errors import DimensionError, ValidationError
-from mallows_topk.model import MallowsModel
+from mallows_topk.model import MallowsModel, RandomSource, sample_topk
 from mallows_topk.oracle import topk_distance_oracle
 from mallows_topk.rankings import (_BLOCK, Permutation, RankingBatch,
                                    TopKRanking, format_rankings_csv,
@@ -437,3 +438,73 @@ class TestCsvText:
         text = "\n".join(["# n=12"] + lines) + "\n"
         ids = [[int(tok) - 1 for tok in ln.split(",")] for ln in lines]
         assert parse_rankings_csv(text) == [TopKRanking(12, len(r), tuple(r)) for r in ids]
+
+
+FOREIGN = [" ", "+", "_", "-", "#", "\t", "\r", "\x00", "\x0b", "\x0c", "\x1c", "\u0663",
+           "\u2028"]
+LONG_TOKENS = ["0" * 18, "0" * 17 + "1", "9" * 18, "0" * 18 + "1", "1" + "0" * 18, "9" * 19]
+
+
+@st.composite
+def digit_files(draw):
+    """A ranking file whose body is ASCII digits, ',' and '\\n' only: rows of
+    ids with leading zeros, 0, ids beyond n, 18- and 19-digit tokens, rows
+    of k = n and longer, loose bytes; after up to two blocks of good rows."""
+    n = draw(st.integers(1, 5))
+    token = (st.integers(1, n).map(str)
+             | st.tuples(st.integers(0, 17), st.integers(0, n + 1)).map(
+                 lambda t: "0" * t[0] + str(t[1]))
+             | st.sampled_from(LONG_TOKENS))
+    row = (st.permutations([str(v) for v in range(1, n + 1)]).flatmap(
+               lambda order: st.integers(1, n).map(lambda k: ",".join(order[:k])))
+           | st.lists(token, min_size=1, max_size=n + 2).map(",".join)
+           | st.text("0123456789,\n", max_size=8))
+    good = draw(st.sampled_from([0, 0, _BLOCK - 1, _BLOCK, _BLOCK + 1]))
+    rows = [",".join(map(str, range(n, 0, -1)))] * good + draw(st.lists(row, max_size=5))
+    return "\n".join([f"# n={n}"] + rows) + draw(st.sampled_from(["\n", ""]))
+
+
+class TestDigitReader:
+    @settings(max_examples=300, deadline=None)
+    @given(digit_files())
+    @example("# n=3")
+    @example("# n=3\n")
+    @example("# n=3\n3,1,2")
+    @example("# n=3\n" + "1,2\n" * _BLOCK + "1,4\n")
+    @example("# n=3\n" + "1\n" * (_BLOCK + 5) + "1,2,3,1\n")
+    @example("# n=3\n" + "1\n" * _BLOCK + "\n2\n")
+    @example("# n=2\n002,0001\n" + "0" * 17 + "2\n")
+    @example("# n=2\n1," + "0" * 18 + "2\n")
+    def test_digit_files_parse_as_the_row_by_row_reader_does(self, text):
+        assert _outcome(parse_rankings_csv, text) == _outcome(_reference_parse, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(digit_files(), st.sampled_from(FOREIGN), st.data())
+    def test_one_other_character_reads_as_int_does(self, text, char, data):
+        body = text.find("\n") + 1
+        assume(body > 0)
+        at = data.draw(st.integers(body, len(text)))
+        text = text[:at] + char + text[at:]
+        assert _outcome(parse_rankings_csv, text) == _outcome(_reference_parse, text)
+
+    @pytest.mark.parametrize("text", ["# n=3\x0c1,2\n", "# n=3\x1c2,1\n3\n", "# n=3\r\n1,2\n",
+                                      "# n=3 \n1,2\n", "# n=03\n3\n", "\n# n=3\n1\n",
+                                      "# n=3\n1_0\n", "# n=12\n1_0,2\n", "# n=3\n1\r2\n"])
+    def test_other_characters_at_fixed_places(self, text):
+        assert _outcome(parse_rankings_csv, text) == _outcome(_reference_parse, text)
+
+    def test_a_file_of_digits_never_falls_back_to_int(self, monkeypatch):
+        # a wrong alphabet check would pass every equality test and lose the gain
+        def fail(text):
+            raise AssertionError("read with int()")
+        monkeypatch.setattr(rankings, "_parse_int_tokens", fail)
+        model = MallowsModel(50, Permutation.identity(50), 0.3)
+        batch = sample_topk(model, 1, 700, RandomSource(1))
+        for k in (2, 7, 15):  # mixed k over three blocks, as the bench writes
+            batch = batch + sample_topk(model, k, 700, RandomSource(k))
+        text = format_rankings_csv(batch)
+        assert parse_rankings_csv(text) == batch
+        assert parse_rankings_csv(text[:-1]) == batch  # no final newline
+        assert parse_rankings_csv("# n=50\n") == parse_rankings_csv("# n=50") == []
+        with pytest.raises(ValidationError, match="distinct ids"):
+            parse_rankings_csv(text + "1,51\n")
