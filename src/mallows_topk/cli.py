@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input error, 3 vacuous bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -18,8 +19,7 @@ from .errors import ValidationError, VacuousBoundError
 # log_likelihood is unused: bench/test_bench.py::test_tracer_wraps_every_binding wraps it
 from .model import (MallowsModel, RandomSource, log_likelihood, sample_topk,
                     theta_for_expected_distance, uniform_limit_distance)
-from .rankings import (_MAX_N, Permutation, TopKRanking, format_rankings_csv,
-                       read_rankings_csv)
+from .rankings import _MAX_N, Permutation, format_rankings_csv, read_rankings_csv
 
 DEFAULT_SEED_ENV = "MALLOWS_TOPK_SEED"
 
@@ -165,20 +165,18 @@ def run_separation_experiment(n: int, k: int, m_g: int, m_b: int,
     limit = uniform_limit_distance(n, k)
     root = RandomSource(seed)
     rows = ["e_gamma,c,mean_error_pct,min_error_pct,max_error_pct"]
-    cell = 0
-    for e_gamma in e_gamma_grid:
+    for i, e_gamma in enumerate(e_gamma_grid):
         theta_g = theta_for_expected_distance(n, k, e_gamma)
-        for c in c_grid:
+        for j, c in enumerate(c_grid):
             e_beta = c * e_gamma
             if e_beta >= limit:
-                cell += 1
                 continue
             theta_b = theta_for_expected_distance(n, k, e_beta)
             good = MallowsModel(n, Permutation.identity(n), theta_g)
             bad = MallowsModel(n, Permutation.identity(n), theta_b)
             errors = []
             for s in range(seeds):
-                rng = root.split(cell * seeds + s)
+                rng = root.split((i * len(c_grid) + j) * seeds + s)
                 sample = (sample_topk(good, k, m_g, rng.split(0))
                           + sample_topk(bad, k, m_b, rng.split(1)))
                 truth = mixture.GroundTruth([True] * m_g + [False] * m_b)
@@ -186,7 +184,6 @@ def run_separation_experiment(n: int, k: int, m_g: int, m_b: int,
                 errors.append(100.0 * truth.misclassification(result.expert_flags))
             rows.append(f"{e_gamma:g},{c:g},{sum(errors) / len(errors):.6g},"
                         f"{min(errors):.6g},{max(errors):.6g}")
-            cell += 1
     return "\n".join(rows) + "\n"
 
 
@@ -204,22 +201,18 @@ def run_eborda_experiment(n: int, k: int, m_g: int, m_b: int,
     good = MallowsModel(n, sigma0, theta_g)
     bad = MallowsModel(n, sigma0, theta_b)
     root = RandomSource(seed)
-    total = m_g + m_b
-    borda_err = [[] for _ in range(total)]
-    eborda_err = [[] for _ in range(total)]
-    for s in range(seeds):
-        rng = root.split(s)
-        sample = (sample_topk(good, k, m_g, rng.split(0))
-                  + sample_topk(bad, k, m_b, rng.split(1)))
-        for size in range(1, total + 1):
+    samples = [sample_topk(good, k, m_g, rng.split(0))
+               + sample_topk(bad, k, m_b, rng.split(1))
+               for rng in map(root.split, range(seeds))]
+    rows = ["size,borda_mean,borda_min,borda_max,eborda_mean,eborda_min,eborda_max"]
+    for size in range(1, m_g + m_b + 1):
+        b, e = [], []
+        for sample in samples:
             sub = sample[:size]
             b_est = estimation.borda_estimate(sub)
             e_est = estimation.eborda(sub) if size >= 2 else b_est
-            borda_err[size - 1].append(estimation.partial_estimate_error(b_est, sigma0))
-            eborda_err[size - 1].append(estimation.partial_estimate_error(e_est, sigma0))
-    rows = ["size,borda_mean,borda_min,borda_max,eborda_mean,eborda_min,eborda_max"]
-    for size in range(1, total + 1):
-        b, e = borda_err[size - 1], eborda_err[size - 1]
+            b.append(estimation.partial_estimate_error(b_est, sigma0))
+            e.append(estimation.partial_estimate_error(e_est, sigma0))
         rows.append(f"{size},{sum(b) / len(b):.6g},{min(b):.6g},{max(b):.6g},"
                     f"{sum(e) / len(e):.6g},{min(e):.6g},{max(e):.6g}")
     return "\n".join(rows) + "\n"
@@ -258,6 +251,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     for name in ("seeds", "step"):
         if getattr(args, name) < 1:
             raise ValidationError(f"--{name} must be at least 1")
+    if (args.loglik_n if args.name == "loglik" else args.n) > _MAX_N:
+        raise ValidationError(f"n must be at most {_MAX_N}")  # before anything of size n
+    if args.mg is None:
+        args.mg = 40 if args.name == "separation" else 4
+    if args.mb is None:
+        args.mb = 60 if args.name == "separation" else 40
     if args.name == "separation":
         text = run_separation_experiment(
             args.n, args.k, args.mg, args.mb,
@@ -280,6 +279,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built by the first main call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mallows-topk",
@@ -348,18 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: list = []  # holds the parser once the first main call builds it
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if not _parser:
-        _parser.append(build_parser())
-    args = _parser[0].parse_args(argv)
-    if args.command == "experiment":
-        if args.mg is None:
-            args.mg = 40 if args.name == "separation" else 4
-        if args.mb is None:
-            args.mb = 60 if args.name == "separation" else 40
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()

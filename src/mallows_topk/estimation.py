@@ -211,7 +211,7 @@ def delta_1k(n: int, k: int, theta: float) -> float:
         raise ValidationError("k must satisfy 1 <= k <= n")
     if theta < 0:
         raise ValidationError("theta must be >= 0")
-    if n == 1 or k == n:
+    if k == n:
         return 0.0
     try:
         float(n)  # the laws below are evaluated in floats
@@ -224,13 +224,12 @@ def delta_1k(n: int, k: int, theta: float) -> float:
         return [math.exp(-log_psi - theta * r if r else -log_psi) for r in range(count)]
 
     c1 = list(itertools.accumulate(law(1, k)))  # c1[r] = P(V_1 <= r)
-    # V_2 is deterministic when n = 2 (only one slot remains)
-    p2 = [1.0] if n == 2 else law(2, min(k, n - 1))
+    p2 = law(2, k)  # k < n: at most the n - 1 values V_2 takes
     first = c1[k - 1]
     second = 0.0
-    for r2 in range(min(k - 1, n - 1)):
+    for r2 in range(k - 1):
         second += p2[r2] * c1[r2]  # V_1 <= V_2: item 2 lands at V_2 + 2 <= k
-    for r2 in range(min(k, n - 1)):
+    for r2 in range(k):
         second += p2[r2] * (1.0 - c1[r2])  # V_1 > V_2: item 2 lands at V_2 + 1
     return first - second
 

@@ -276,7 +276,7 @@ class MixtureFit(NamedTuple):
     single_log_likelihood: float
 
 
-def fit_mixture(sample: Sequence[TopKRanking], method: str = "2means") -> MixtureFit:
+def fit_mixture(sample: Sequence[TopKRanking]) -> MixtureFit:
     """Cluster-then-estimate fit.  The single-component member of the family
     (equal dispersions) is kept instead whenever it scores a higher
     likelihood, so the fit never loses to the nested model.  One distance
@@ -284,7 +284,7 @@ def fit_mixture(sample: Sequence[TopKRanking], method: str = "2means") -> Mixtur
     from . import estimation
 
     sample = _as_batch(sample)
-    result = separate(sample, method=method)
+    result = separate(sample)
     consensus = result.consensus
     d, ks = _distances_to_full(sample, consensus), sample.ks
     theta = estimation._theta_mle(d, ks, sample.n).theta

@@ -4,7 +4,12 @@ import csv
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,6 +398,21 @@ class TestExperiments:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("--name", "separation", "--n", 3000000000),
+        ("--name", "eborda", "--n", 3000000000),
+        ("--name", "loglik", "--loglik-n", 3000000000),
+    ])
+    def test_n_beyond_the_id_range_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # n is checked before anything of size n is built
+        def identity(n):
+            raise AssertionError(f"Permutation.identity({n}) was called")
+        monkeypatch.setattr(cli.Permutation, "identity", identity)
+        out = tmp_path / "x.csv"
+        assert run("experiment", *argv, "--seeds", 1, "--out", out) == 2
+        assert capsys.readouterr().err == "error: n must be at most 2147483647\n"
+        assert not out.exists()
+
     def test_experiment_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -432,7 +452,8 @@ def test_cli_paths_build_no_ranking_object_per_row(tmp_path, monkeypatch):
 
 # SHA-256 of outputs recorded before the likelihoods and the Borda orders were
 # computed once each (separate and aggregate --method borda: before each
-# Permutation kept its preference order); the input is the `sample` output below.
+# Permutation kept its preference order; separation: before its cells were
+# indexed by position in the grids); the input is the `sample` output below.
 GOLDEN_SAMPLE = ("036268fd5edae44c2d79a4ca81c5f884"
                  "6915852c39883db9d9539b050fd3f9d8")
 
@@ -448,6 +469,9 @@ GOLDEN_SAMPLE = ("036268fd5edae44c2d79a4ca81c5f884"
      "227a8add0914104b3d6c7429e80ef7e68dffd062f42a00043bc02c0edde779e0"),
     (("separate",),
      "2a16309103de5a08ea1b061135a7589982902f64f9db5a1b55929f1b51884eed"),
+    (("experiment", "--name", "separation", "--seeds", 2, "--seed", 3,
+      "--e-gamma-grid", "3,8,48", "--c-grid", "3,6,39,0.5"),
+     "53cf9b352c67a22bd815affedce8afc6ace38e21e5f6514f09ce7d58c4240fe6"),
 ])
 def test_outputs_match_the_recorded_hashes(tmp_path, argv, sha256):
     source, out = tmp_path / "s.csv", tmp_path / "out"
@@ -482,6 +506,34 @@ def test_a_loglik_step_computes_each_estimate_once(monkeypatch):
     assert float(rows[-1]["mixture_ll"]) > float(rows[-1]["single_ll"])  # a split fit
     assert calls["_pair_sums"] <= 4 * len(rows)
     assert calls["borda"] == len(rows)
+
+
+def _run_capped(*argv):
+    """`python -m mallows_topk.cli` in a child process capped at 2 GiB of address
+    space, so that a run which allocates without bound ends there, not in the
+    machine running out of memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "mallows_topk.cli", *map(str, argv)],
+                          preexec_fn=cap, env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--name", "eborda", "--mg", 2**31),
+    ("--name", "eborda", "--mb", 2**31),
+    ("--name", "separation", "--mg", 2**31),
+    ("--name", "separation", "--mb", 2**31),
+    ("--name", "separation", "--n", 3000000000),
+    ("--name", "eborda", "--n", 3000000000),
+    ("--name", "loglik", "--loglik-n", 3000000000),
+])
+def test_huge_experiment_sizes_exit_2_before_allocating(argv):
+    # every size is checked before anything of that size is built
+    done = _run_capped("experiment", *argv, "--seeds", 1)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def _assert_clean_exit(argv):

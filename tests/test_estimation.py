@@ -361,6 +361,22 @@ class TestDelta:
                 second += p2[r2] * (1.0 - c1[r2])
             assert delta_1k(n, k, theta) == c1[k - 1] - second
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.01, 1.0, 700.0, math.inf])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_reads_only_the_first_k_terms_at_the_smallest_n(self, n, theta):
+        # as above, where V_2 has only n - 1 <= 2 values; at n = 2 it is always 0
+        model = MallowsModel(n, Permutation.identity(n), theta)
+        c1 = list(itertools.accumulate(model.v_marginal(1, r) for r in range(n)))
+        p2 = [model.v_marginal(2, r) for r in range(n - 1)] if n > 2 else [1.0]
+        for k in range(1, n):
+            second = 0.0
+            for r2 in range(min(k - 1, n - 1)):
+                second += p2[r2] * c1[r2]
+            for r2 in range(min(k, n - 1)):
+                second += p2[r2] * (1.0 - c1[r2])
+            assert delta_1k(n, k, theta) == c1[k - 1] - second
+        assert delta_1k(n, n, theta) == 0.0
+
     def test_cost_is_independent_of_n(self):
         tracemalloc.start()
         try:
