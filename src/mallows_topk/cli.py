@@ -358,8 +358,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VacuousBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -84,20 +84,11 @@ def sample_mixture(mix: ConcentricMixture, k: int, m: int, rng: RandomSource) ->
 
 
 def pairwise_topk_distances(sample: Sequence[TopKRanking]) -> np.ndarray:
-    """Exact all-pairs top-k Kendall distance matrix (integer arithmetic,
-    schedule-independent).  Builds an (m, n(n-1)/2) array; `mean_distances`
-    does not need it."""
+    """Exact all-pairs top-k Kendall distance matrix: one `_distances_to_full`
+    pass against each ranking, O(m^2 k^2); `mean_distances` does not need it."""
     batch = _as_batch(sample)
-    # Sign of the rank difference of each item pair; the per-ranking
-    # sentinel rank k gives undetermined pairs sign 0.
-    ranks = np.repeat(batch.ks[:, None], batch.n, axis=1)
-    row, col = np.nonzero(batch.items >= 0)
-    ranks[row, batch.items[row, col]] = col
-    i, j = np.triu_indices(batch.n, 1)
-    signs = np.sign(ranks[:, i] - ranks[:, j])
-    nonzero = np.abs(signs) @ np.abs(signs).T
-    dot = signs @ signs.T
-    return (nonzero - dot) // 2
+    rows = [_distances_to_full(batch, t) for t in batch]
+    return np.array(rows, dtype=np.int64).reshape(len(batch), len(batch))
 
 
 def mean_distances(sample: Sequence[TopKRanking]) -> np.ndarray:

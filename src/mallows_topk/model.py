@@ -121,7 +121,9 @@ class MallowsModel:
         head = np.zeros(self.n + 1)
         for k in np.unique(ks).tolist():
             head[k] = log_psi_total(self.theta, self.n - k)
-        return -self.theta * d + head[ks] - log_psi_total(self.theta, self.n)
+        # a distance of 0 adds 0, also at theta = inf, where -theta * 0 is nan
+        return (np.where(d > 0, -self.theta, 0.0) * d + head[ks]
+                - log_psi_total(self.theta, self.n))
 
     def _log_likelihood(self, d, ks) -> float:
         return math.fsum(self._log_topk_probabilities(d, ks).tolist())
@@ -130,8 +132,7 @@ class MallowsModel:
         return math.exp(self.log_topk_probability(sigma))
 
     def log_probability(self, sigma: Permutation) -> float:
-        d = kendall_topk(sigma, self.sigma0)
-        return -self.theta * d - log_psi_total(self.theta, self.n)
+        return self.log_topk_probability(sigma.top_k(sigma.n))
 
 
 # ---------------------------------------------------------------------------

@@ -271,28 +271,29 @@ def _pair_sums(items: np.ndarray, code: np.ndarray, weight: np.ndarray, pair) ->
     return out
 
 
-def _distances_to_full(sample, pi: Permutation) -> np.ndarray:
-    """`kendall_topk(s, pi)` for each ranking, O(k^2): with c_j the pi-rank of
-    the j-th listed item, the distance is sum_j c_j - #{i < j : c_i < c_j}."""
-    ranks = np.array(pi.ranks + (-1,), dtype=np.int32)
-    weight = np.append(np.arange(pi.n, dtype=np.int32), np.int32(0))
-    return _pair_sums(_as_batch(sample, pi.n).items, ranks, weight, np.less)
+def _distances_to_full(sample, pi: RankingLike) -> np.ndarray:
+    """`kendall_topk(s, pi)` for each ranking s, O(k^2), for a full or top-k
+    pi: with c_j pi's rank of the j-th listed item (K, pi's list length, for
+    an item pi does not list), the distance is sum_j c_j - #{i < j : c_i < c_j}."""
+    ranks = pi.ranks if isinstance(pi, Permutation) else pi.rank_array()
+    code = np.array([*ranks, -1], dtype=np.int32)
+    weight = np.arange(pi.n + 1, dtype=np.int32)
+    weight[-1] = 0
+    return _pair_sums(_as_batch(sample, pi.n).items, code, weight, np.less)
 
 
 def _decode_inversions(v: np.ndarray) -> np.ndarray:
     """out[:, j] = the v[:, j]-th smallest (0-based) value not in out[:, :j].
 
-    With u the earlier values of a row in ascending order, u_t - t counts the
-    unused values below u_t and never decreases in t, so the v-th unused value
-    is v + #{t : u_t - t <= v}.  O(k^2 log k) per row, whatever the range of
-    the values; nothing of width n is built.
+    Decoded right to left (Lehmer): before step j each later column holds its
+    rank among the values left after position j, and adding 1 where it is at
+    least out[:, j] makes it its rank among the values left after position
+    j - 1.  O(k^2) per row with no sort; nothing of width n is built.
     """
-    count, k = v.shape
-    out = np.empty((count, k), dtype=np.int64)
-    for j in range(k):
-        col = v[:, j:j + 1]
-        gaps = np.sort(out[:, :j], axis=1) - np.arange(j)
-        out[:, j] = col[:, 0] + (gaps <= col).sum(axis=1)
+    out = v.astype(np.int64)
+    for j in range(out.shape[1] - 2, -1, -1):
+        later = out[:, j + 1:]
+        later += later >= out[:, j:j + 1]
     return out
 
 

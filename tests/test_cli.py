@@ -454,6 +454,7 @@ def test_cli_paths_build_no_ranking_object_per_row(tmp_path, monkeypatch):
 # computed once each (separate and aggregate --method borda: before each
 # Permutation kept its preference order; separation: before its cells were
 # indexed by position in the grids); the input is the `sample` output below.
+# The wide `sample` was recorded before the decode ran right to left.
 GOLDEN_SAMPLE = ("036268fd5edae44c2d79a4ca81c5f884"
                  "6915852c39883db9d9539b050fd3f9d8")
 
@@ -472,6 +473,8 @@ GOLDEN_SAMPLE = ("036268fd5edae44c2d79a4ca81c5f884"
     (("experiment", "--name", "separation", "--seeds", 2, "--seed", 3,
       "--e-gamma-grid", "3,8,48", "--c-grid", "3,6,39,0.5"),
      "53cf9b352c67a22bd815affedce8afc6ace38e21e5f6514f09ce7d58c4240fe6"),
+    (("sample", "--n", 1000, "--k", 10, "--theta", 0.3, "--count", 200, "--seed", 7),
+     "0c46d47bb64568317c39af7d7f138c7a3b76a3ea7c6f6bcaa6050a5784f29590"),
 ])
 def test_outputs_match_the_recorded_hashes(tmp_path, argv, sha256):
     source, out = tmp_path / "s.csv", tmp_path / "out"
@@ -534,6 +537,20 @@ def test_huge_experiment_sizes_exit_2_before_allocating(argv):
     done = _run_capped("experiment", *argv, "--seeds", 1)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", 30, "--k", 10, "--theta", 1, "--count", 2147483647),
+    ("experiment", "--name", "loglik", "--m", 1073741824, "--seeds", 1),
+    ("experiment", "--name", "eborda", "--mg", 1073741824, "--mb", 1073741823,
+     "--seeds", 1),
+])
+def test_sizes_that_do_not_fit_in_memory_exit_2(argv):
+    # each passes the size checks, then asks numpy for more than the cap
+    done = _run_capped(*argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert done.stderr.strip() != "error:"
 
 
 def _assert_clean_exit(argv):

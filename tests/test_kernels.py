@@ -27,7 +27,8 @@ from mallows_topk.model import (THETA_CAP, MallowsModel, RandomSource,
 from mallows_topk.oracle import topk_distance_oracle
 from mallows_topk.rankings import (Permutation, RankingBatch, TopKRanking,
                                    _decode_inversions, _distances_to_full,
-                                   format_rankings_csv, parse_rankings_csv)
+                                   format_rankings_csv, kendall_topk,
+                                   parse_rankings_csv)
 
 
 def _topk(n, perm, k):
@@ -80,6 +81,29 @@ def test_distance_kernel_equals_kendall_topk(case):
     assert got.dtype == np.int64 and got.tolist() == expected
     model = MallowsModel(sigma0.n, sigma0, 1.0)
     assert [model.distance_to_consensus(s) for s in sample] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=samples())
+@_small_examples()
+def test_distance_kernel_takes_a_topk_reference(case):
+    sample, _ = case
+    for t in sample:
+        assert _distances_to_full(sample, t).tolist() == [kendall_topk(s, t) for s in sample]
+
+
+def test_pairwise_distances_allocate_nothing_of_width_n_squared():
+    # n = 300, m = 50: the (m, n(n-1)/2) int64 pair-sign matrix alone would be 18 MB
+    model = MallowsModel(300, Permutation.identity(300), 0.3)
+    sample = sample_topk(model, 10, 50, RandomSource(8))
+    tracemalloc.start()
+    try:
+        d = pairwise_topk_distances(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.shape == (50, 50)
+    assert peak < 2**20
 
 
 @settings(max_examples=200, deadline=None)

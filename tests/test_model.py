@@ -245,6 +245,18 @@ class TestMarginalsAndLikelihood:
             log_likelihood(model, sample),
             sum(model.log_topk_probability(s) for s in sample))
 
+    def test_infinite_theta_puts_all_mass_on_the_consensus(self):
+        # a distance of 0 adds 0 to the log-probability, not -inf * 0 = nan
+        sigma0 = Permutation.identity(4)
+        model = MallowsModel(4, sigma0, math.inf)
+        top2 = sigma0.top_k(2)
+        assert model.log_topk_probability(top2) == 0.0
+        assert model.topk_probability(top2) == 1.0
+        assert model.log_probability(sigma0) == 0.0
+        assert model.log_topk_probability(TopKRanking(4, 2, (1, 0))) == -math.inf
+        assert model.log_probability(Permutation.reverse(4)) == -math.inf
+        assert log_likelihood(model, [top2] * 3) == 0.0
+
     def test_log_likelihood_maximized_near_truth(self):
         model = MallowsModel(6, Permutation.identity(6), 1.0)
         sample = sample_topk(model, 6, 4000, RandomSource(6))
