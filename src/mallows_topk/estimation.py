@@ -30,11 +30,9 @@ def _borda_scores(sample: Sequence[TopKRanking]) -> np.ndarray:
     batch = _as_batch(sample)
     n, items = batch.n, batch.items
     imputed = (batch.ks + n - 1) / 2.0
-    scores = np.full(n, imputed.sum())
-    for r in range(items.shape[1]):
-        listed = items[:, r] >= 0
-        scores += np.bincount(items[listed, r], weights=r - imputed[listed], minlength=n)
-    return scores
+    listed = items >= 0
+    offset = np.arange(items.shape[1]) - imputed[:, None]
+    return imputed.sum() + np.bincount(items[listed], weights=offset[listed], minlength=n)
 
 
 def borda(sample: Sequence[TopKRanking]) -> Permutation:

@@ -92,7 +92,7 @@ def pairwise_topk_distances(sample: Sequence[TopKRanking]) -> np.ndarray:
 
 
 def mean_distances(sample: Sequence[TopKRanking]) -> np.ndarray:
-    """delta_sigma: mean distance of each ranking to all the others, O(n^2 + m k^2).
+    """delta_sigma: mean distance of each ranking to all the others, O(k n^2 + m k^2).
 
     With pref[a, b] the number of rankings placing a strictly above b (Meila
     et al., UAI 2007), the distances from s to the sample sum to pref[b, a]

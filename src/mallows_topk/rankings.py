@@ -188,16 +188,16 @@ class RankingBatch(Sequence):
 
 
 def _check_rows(n: int, items: np.ndarray, ks: np.ndarray) -> None:
-    """Raise what `TopKRanking(n, k, row[:k])` raises for the first bad row,
-    or the length error if its padding is not -1; the checks see all rows at
-    once, and only a bad row becomes a TopKRanking."""
+    """Raise what `TopKRanking(n, k, row[:k])` raises for the first bad row, or
+    the length error if its padding is not -1; whole-array checks, then only
+    on failure per-row reductions and one TopKRanking of the first bad row."""
     listed = np.arange(items.shape[1]) < ks[:, None]
     ordered = np.sort(items, axis=1)  # padding first; equal neighbours >= 0 repeat an id
-    bad = ((ks < 1) | (ks > n) | (ks > items.shape[1])
-           | np.where(listed, (items < 0) | (items >= n), items != -1).any(axis=1)
-           | ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1))
-    if bad.any():
-        row = int(np.argmax(bad))
+    bad_k = (ks < 1) | (ks > n) | (ks > items.shape[1])
+    bad_cell = (listed & ((items < 0) | (items >= n))) | (~listed & (items != -1))
+    repeat = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
+    if bad_k.any() or bad_cell.any() or repeat.any():
+        row = int(np.argmax(bad_k | bad_cell.any(axis=1) | repeat.any(axis=1)))
         TopKRanking(n, int(ks[row]), tuple(items[row, :ks[row]].tolist()))
         raise ValidationError("items must have length k")
 
@@ -260,13 +260,14 @@ _BLOCK = 1024  # rows per block: bounds the batched kernels' transient arrays
 def _pair_sums(items: np.ndarray, code: np.ndarray, weight: np.ndarray, pair) -> np.ndarray:
     """sum_j weight[c_j] - sum_{i<j} pair(c_i, c_j) for each row c of
     code[items], exact in int64.  Padding maps to code[-1], at which weight
-    and pair must be 0.  O(k^2) per row, in blocks of `_BLOCK` rows."""
+    and pair must be 0.  O(k^2) per row, in blocks of `_BLOCK` rows laid out
+    column by column, so each step is one contiguous op over the block."""
     out = np.empty(len(items), dtype=np.int64)
     for lo in range(0, len(items), _BLOCK):
-        c = code[items[lo:lo + _BLOCK]]
-        t = weight[c].sum(axis=1, dtype=np.int64)
-        for j in range(1, c.shape[1]):
-            t -= pair(c[:, :j], c[:, j:j + 1]).sum(axis=1, dtype=np.int64)
+        c = code[np.ascontiguousarray(items[lo:lo + _BLOCK].T)]  # (k, rows)
+        t = np.add.reduce(weight[c], axis=0, dtype=np.int64)
+        for j in range(1, len(c)):
+            t -= np.add.reduce(pair(c[:j], c[j]), axis=0, dtype=np.int64)
         out[lo:lo + _BLOCK] = t
     return out
 
@@ -288,13 +289,13 @@ def _decode_inversions(v: np.ndarray) -> np.ndarray:
     Decoded right to left (Lehmer): before step j each later column holds its
     rank among the values left after position j, and adding 1 where it is at
     least out[:, j] makes it its rank among the values left after position
-    j - 1.  O(k^2) per row with no sort; nothing of width n is built.
+    j - 1.  O(k^2) per row with no sort, nothing of width n; each step is one
+    contiguous op on the (k, rows) transpose, and the result is C-contiguous.
     """
-    out = v.astype(np.int64)
-    for j in range(out.shape[1] - 2, -1, -1):
-        later = out[:, j + 1:]
-        later += later >= out[:, j:j + 1]
-    return out
+    out = np.array(v.T, dtype=np.int64, order="C")  # a copy even of an F-ordered v
+    for j in range(len(out) - 2, -1, -1):
+        out[j + 1:] += out[j + 1:] >= out[j]
+    return np.ascontiguousarray(out.T)
 
 
 # ---------------------------------------------------------------------------

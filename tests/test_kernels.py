@@ -25,10 +25,10 @@ from mallows_topk.model import (THETA_CAP, MallowsModel, RandomSource,
                                 log_psi_total, sample_linear_extension,
                                 sample_topk)
 from mallows_topk.oracle import topk_distance_oracle
-from mallows_topk.rankings import (Permutation, RankingBatch, TopKRanking,
-                                   _decode_inversions, _distances_to_full,
-                                   format_rankings_csv, kendall_topk,
-                                   parse_rankings_csv)
+from mallows_topk.rankings import (_BLOCK, Permutation, RankingBatch,
+                                   TopKRanking, _decode_inversions,
+                                   _distances_to_full, format_rankings_csv,
+                                   kendall_topk, parse_rankings_csv)
 
 
 def _topk(n, perm, k):
@@ -104,6 +104,30 @@ def test_pairwise_distances_allocate_nothing_of_width_n_squared():
         tracemalloc.stop()
     assert d.shape == (50, 50)
     assert peak < 2**20
+
+
+def _mixed_sample(seed, n, m):
+    """m top-k rankings of n items with k drawn from 1..n; the first row lists
+    one item, the second all n, and the last three one each, so that a last
+    block of three rows is padding beyond its first column."""
+    rng = np.random.default_rng(seed)
+    ks = rng.integers(1, n + 1, size=m)
+    ks[:2], ks[-3:] = (1, n), 1
+    return [_topk(n, rng.permutation(n).tolist(), int(k)) for k in ks]
+
+
+@pytest.mark.parametrize("n, m", [(12, _BLOCK), (12, _BLOCK + 1), (5, 2 * _BLOCK + 3)])
+def test_distance_kernel_across_block_boundaries(n, m):
+    sample = _mixed_sample(m, n, m)
+    full = Permutation(n, tuple(np.random.default_rng(n).permutation(n).tolist()))
+    for ref in (full, sample[0], sample[1], sample[_BLOCK - 1], sample[-1]):
+        assert _distances_to_full(sample, ref).tolist() == [kendall_topk(s, ref) for s in sample]
+
+
+def test_mean_distances_across_a_block_boundary():
+    sample = _mixed_sample(3, 9, _BLOCK + 1)
+    expected = pairwise_topk_distances(sample).sum(axis=1) / _BLOCK
+    assert mean_distances(sample).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,6 +279,19 @@ def test_decode_at_both_ends_of_every_range():
             rows = [low, high, mixed]
             got = _decode_inversions(np.array(rows, dtype=np.int64)).tolist()
             assert got == [_reference_decode(n, v) for v in rows]
+
+
+def test_decoded_and_sampled_rows_are_c_contiguous():
+    # a later row-wise step on an F-ordered array runs several times slower
+    v = _sample_v_matrix(0.3, 50, range(1, 11), 200, RandomSource(4).generator)
+    for rows in (v, np.asfortranarray(v), v.astype(np.int32)):
+        out = _decode_inversions(rows)
+        assert out.dtype == np.int64 and out.flags.c_contiguous
+        assert np.array_equal(rows, v)  # the input is not decoded in place
+        assert out.tolist() == [_reference_decode(50, row) for row in v.tolist()]
+    items = sample_topk(MallowsModel(50, Permutation.identity(50), 0.3), 10, 200,
+                        RandomSource(4)).items
+    assert items.dtype == np.int32 and items.flags.c_contiguous
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17])

@@ -310,6 +310,8 @@ class TestRankingBatch:
             ([[0, -1], [2, 3]], [3, 2], "items must have length k"),
             ([[0, 0], [2, 3]], [0, 2], "k must satisfy 1 <= k <= n"),
             ([[0, 1], [2, 3]], [1, 0], "items must have length k"),
+            ([[0, 1], [2, -2]], [2, 1], "items must have length k"),
+            ([[0, 1], [2, 9]], [2, 1], "items must have length k"),
             ([[0, 1], [2, 2]], [5, 2], "k must satisfy 1 <= k <= n"),
         ]:
             with pytest.raises(ValidationError) as info:
